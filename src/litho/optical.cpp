@@ -1,6 +1,7 @@
 #include "litho/optical.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -55,6 +56,140 @@ namespace {
 std::size_t wrap_bin(std::ptrdiff_t s, std::size_t n) {
   const auto sn = static_cast<std::ptrdiff_t>(n);
   return static_cast<std::size_t>(((s % sn) + sn) % sn);
+}
+
+/// Dispatch-cost hint for one length-n transform, as math's FFT stages
+/// estimate it: n/2 · log2(n) butterflies at ~10 scalar flops each.
+std::size_t fft_line_cost(std::size_t n) {
+  return 5 * n * static_cast<std::size_t>(std::countr_zero(n));
+}
+
+/// The spectrum of a real n x n image on the band of signed bins
+/// |sy|, |sx| <= band only: out[(sy + band) * (2 band + 1) + sx + band].
+/// Bit-identical to those bins of math::fft2d_real_forward, whose stages it
+/// prunes. The row stage is the same two-for-one packed transform but
+/// separates only columns [0, band], into `rows` (n x (band + 1)). The
+/// column stage transforms only those columns and mirrors the negative ones
+/// as F(sy, -sx) = conj(F(-sy, sx)), as fft2d_real_forward does for its
+/// upper half. Every line is independent, so both stages are bit-identical
+/// at any thread count.
+void band_spectrum(const std::vector<double>& image, std::size_t n, std::size_t band,
+                   std::vector<math::Complex>& rows, std::vector<math::Complex>& out,
+                   util::ExecContext* exec, util::Workspace& serial_ws) {
+  const std::size_t cols = band + 1;
+  const std::size_t width = 2 * band + 1;
+  const std::size_t line_cost = fft_line_cost(n);
+  rows.resize(n * cols);
+  out.resize(width * width);
+
+  const std::size_t pairs = n / 2;
+  util::parallel_for(exec, serial_ws, 0, pairs, exec ? exec->grain_for(pairs) : pairs,
+                     pairs * line_cost,
+                     [&](std::size_t t0, std::size_t t1, util::Workspace& ws) {
+    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/false);
+    auto& z = ws.complexes(0);
+    z.resize(n);
+    for (std::size_t t = t0; t < t1; ++t) {
+      const double* e = image.data() + (2 * t) * n;
+      const double* o = image.data() + (2 * t + 1) * n;
+      for (std::size_t x = 0; x < n; ++x) z[x] = math::Complex(e[x], o[x]);
+      math::fft(z.data(), plan);
+      math::Complex* oute = rows.data() + (2 * t) * cols;
+      math::Complex* outo = rows.data() + (2 * t + 1) * cols;
+      oute[0] = math::Complex(z[0].real(), 0.0);
+      outo[0] = math::Complex(z[0].imag(), 0.0);
+      for (std::size_t c = 1; c < cols; ++c) {
+        const math::Complex zk = z[c];
+        const math::Complex zc = std::conj(z[n - c]);
+        oute[c] = 0.5 * (zk + zc);
+        const math::Complex d = zk - zc;
+        outo[c] = math::Complex(0.5 * d.imag(), -0.5 * d.real());
+      }
+    }
+  });
+
+  util::parallel_for(exec, serial_ws, 0, cols, exec ? exec->grain_for(cols) : cols,
+                     cols * line_cost,
+                     [&](std::size_t c0, std::size_t c1, util::Workspace& ws) {
+    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/false);
+    auto& column = ws.complexes(0);
+    column.resize(n);
+    const auto sb = static_cast<std::ptrdiff_t>(band);
+    for (std::size_t c = c0; c < c1; ++c) {
+      for (std::size_t r = 0; r < n; ++r) column[r] = rows[r * cols + c];
+      math::fft(column.data(), plan);
+      // Column n/2 is its own mirror: keep its direct transform.
+      const bool mirror = c > 0 && 2 * c != n;
+      for (std::ptrdiff_t sy = -sb; sy <= sb; ++sy) {
+        math::Complex* row = out.data() + static_cast<std::size_t>(sy + sb) * width;
+        row[band + c] = column[wrap_bin(sy, n)];
+        row[band - c] = mirror ? std::conj(column[wrap_bin(-sy, n)]) : row[band + c];
+      }
+    }
+  });
+}
+
+/// Fourier interpolation of a real m x m periodic image to n x n (m < n,
+/// both powers of two): its spectrum is zero-padded into the n x n
+/// spectrum and inverse-transformed. Exact when the spectrum lies strictly
+/// inside |q| < m/2; the Nyquist row and column, zero in exact arithmetic,
+/// are dropped so the padded spectrum stays Hermitian.
+///
+/// The inverse is pruned. Only the m - 1 band rows of the padded spectrum
+/// are nonzero, so only they are row-transformed, into `rows`
+/// ((m - 1) x n). The result is real, so the column stage transforms two
+/// columns per complex FFT: column c in the real part, c + 1 in the
+/// imaginary part. Every line is independent, so both stages are
+/// bit-identical at any thread count.
+void fourier_interpolate(const std::vector<double>& coarse, std::size_t m, std::size_t n,
+                         std::vector<math::Complex>& rows, double* out,
+                         util::ExecContext* exec, util::Workspace& serial_ws) {
+  const std::vector<math::Complex> spectrum =
+      math::fft2d_real_forward(coarse, m, m, exec);
+  // Band line b < m - 1 is m-grid bin b, skipping the Nyquist bin m/2; on
+  // the n grid the negative half moves up by n - m.
+  const std::size_t half = m / 2;
+  const std::size_t band = m - 1;
+  const auto to_m = [&](std::size_t b) { return b < half ? b : b + 1; };
+  const auto to_n = [&](std::size_t b) { return b < half ? b : b + 1 + n - m; };
+  const std::size_t line_cost = fft_line_cost(n);
+  rows.resize(band * n);
+
+  util::parallel_for(exec, serial_ws, 0, band, exec ? exec->grain_for(band) : band,
+                     band * line_cost,
+                     [&](std::size_t b0, std::size_t b1, util::Workspace& ws) {
+    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/true);
+    for (std::size_t b = b0; b < b1; ++b) {
+      const math::Complex* src = spectrum.data() + to_m(b) * m;
+      math::Complex* row = rows.data() + b * n;
+      std::fill(row, row + n, math::Complex(0.0, 0.0));
+      for (std::size_t c = 0; c < band; ++c) row[to_n(c)] = src[to_m(c)];
+      math::fft(row, plan);
+    }
+  });
+
+  const std::size_t pairs = n / 2;
+  util::parallel_for(exec, serial_ws, 0, pairs, exec ? exec->grain_for(pairs) : pairs,
+                     pairs * line_cost,
+                     [&](std::size_t p0, std::size_t p1, util::Workspace& ws) {
+    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/true);
+    auto& line = ws.complexes(0);
+    line.resize(n);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const std::size_t c = 2 * p;
+      std::fill(line.begin(), line.end(), math::Complex(0.0, 0.0));
+      for (std::size_t b = 0; b < band; ++b) {
+        const math::Complex lo = rows[b * n + c];
+        const math::Complex hi = rows[b * n + c + 1];
+        line[to_n(b)] = math::Complex(lo.real() - hi.imag(), lo.imag() + hi.real());
+      }
+      math::fft(line.data(), plan);
+      for (std::size_t y = 0; y < n; ++y) {
+        out[y * n + c] = line[y].real();
+        out[y * n + c + 1] = line[y].imag();
+      }
+    }
+  });
 }
 
 }  // namespace
@@ -185,7 +320,7 @@ OpticalModel::OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
     open_field += kernel_weights_[k] * std::norm(t0);
   }
   LITHOGAN_REQUIRE(open_field > 0.0, "no source point falls inside the pupil");
-  normalization_ = 1.0 / open_field;
+  const double normalization = 1.0 / open_field;
 
   // Spatial reach of the coherent kernels: a transfer window of support S
   // frequency bins on a grid of extent E has a point-spread main lobe of
@@ -199,99 +334,134 @@ OpticalModel::OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
   }
   LITHOGAN_REQUIRE(min_support > 0, "all transfer windows empty");
   kernel_ambit_nm_ = grid_.extent_nm / static_cast<double>(min_support);
+
+  // Band-limited imaging grid. Kernel k's field has its spectrum inside its
+  // w x h window, so its intensity's spectrum (the window's
+  // autocorrelation) lies inside |qx| <= w - 1, |qy| <= h - 1. A grid of
+  // m >= 2 x the widest side holds every window without aliasing and every
+  // intensity strictly inside its Nyquist band, so the SOCS sum runs on
+  // m x m and is Fourier-interpolated to n x n exactly. The weights absorb
+  // the (m/n)^2 transform scaling; it is a power of two, so exact, and 1
+  // when m = n.
+  std::size_t widest = 0;
+  for (const TransferWindow& win : windows_) {
+    if (win.w == 0) continue;
+    widest = std::max({widest, win.w, win.h});
+    const auto reach = [](std::ptrdiff_t lo, std::size_t size) {
+      return static_cast<std::size_t>(
+          std::max(-lo, lo + static_cast<std::ptrdiff_t>(size) - 1));
+    };
+    band_ = std::max({band_, reach(win.sx0, win.w), reach(win.sy0, win.h)});
+  }
+  imaging_pixels_ = std::min(n, math::next_power_of_two(2 * widest));
+  const double ratio = static_cast<double>(imaging_pixels_) / static_cast<double>(n);
+  for (double& w : kernel_weights_) w = w * normalization * (ratio * ratio);
 }
 
 FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
   LITHOGAN_REQUIRE(mask.pixels == grid_.pixels, "mask grid resolution mismatch");
   const std::size_t n = grid_.pixels;
-  const std::size_t n2 = n * n;
+  const std::size_t m = imaging_pixels_;
+  const std::size_t m2 = m * m;
 
-  // The mask is real, so its spectrum comes from the half-work
-  // real-to-complex path.
-  const std::vector<math::Complex> spectrum = [&] {
+  // The kernels read the mask spectrum only inside the band their windows
+  // reach, so only that band is transformed. ws slot 2 holds the line stage
+  // of this transform and, later, of the interpolation.
+  util::Workspace ws;
+  auto& lines = ws.complexes(2);
+  const std::size_t width = 2 * band_ + 1;
+  std::vector<math::Complex> spectrum;
+  {
     const obs::Span span("sim.mask_spectrum");
-    return math::fft2d_real_forward(mask.values, n, n, exec_);
-  }();
+    band_spectrum(mask.values, n, band_, lines, spectrum, exec_, ws);
+  }
 
-  FieldGrid out;
-  out.pixels = n;
-  out.extent_nm = grid_.extent_nm;
-  out.values.assign(n2, 0.0);
-
-  // Renders kernel k's coherent field IFT[T_k * spectrum] into ws scratch
-  // and returns it. Only the pupil-support window of the spectrum is
-  // multiplied, and the inverse FFT's row stage visits only the <= h
+  // Renders kernel k's coherent field on the m x m imaging grid into ws
+  // scratch and returns it. Only the pupil-support window of the spectrum
+  // is multiplied, and the inverse FFT's row stage visits only the <= h
   // support rows: every other row is identically zero and transforms to
   // zero, so skipping it is bit-exact. The column stage then runs over the
-  // full grid. Nested parallel_for serializes inline, so all FFT calls
-  // here are the serial single-line form.
+  // full imaging grid. Nested parallel_for serializes inline, so all FFT
+  // calls here are the serial single-line form.
+  const auto sband = static_cast<std::ptrdiff_t>(band_);
   const auto render = [&](std::size_t k,
-                          util::Workspace& ws) -> const math::Complex* {
+                          util::Workspace& scratch) -> const math::Complex* {
     const obs::Span span("sim.socs_kernel");
     const TransferWindow& t = windows_[k];
-    auto& field = ws.complexes(0);
-    field.assign(n2, math::Complex(0.0, 0.0));
+    auto& field = scratch.complexes(0);
+    field.assign(m2, math::Complex(0.0, 0.0));
     if (t.h == 0 || t.w == 0) return field.data();
-    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/true);
+    const math::FftPlan& plan = math::fft_plan(scratch, m, /*inverse=*/true);
     for (std::size_t wy = 0; wy < t.h; ++wy) {
-      const std::size_t r = wrap_bin(t.sy0 + static_cast<std::ptrdiff_t>(wy), n);
-      math::Complex* row = field.data() + r * n;
-      const math::Complex* srow = spectrum.data() + r * n;
+      const std::ptrdiff_t sy = t.sy0 + static_cast<std::ptrdiff_t>(wy);
+      math::Complex* row = field.data() + wrap_bin(sy, m) * m;
+      const math::Complex* srow =
+          spectrum.data() + static_cast<std::size_t>(sy + sband) * width + band_;
       const std::complex<double>* trow = t.values.data() + wy * t.w;
       for (std::size_t wx = 0; wx < t.w; ++wx) {
-        const std::size_t c = wrap_bin(t.sx0 + static_cast<std::ptrdiff_t>(wx), n);
-        row[c] = srow[c] * trow[wx];
+        const std::ptrdiff_t sx = t.sx0 + static_cast<std::ptrdiff_t>(wx);
+        row[wrap_bin(sx, m)] = srow[sx] * trow[wx];
       }
       math::fft(row, plan);
     }
-    auto& column = ws.complexes(1);
-    column.resize(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      for (std::size_t r = 0; r < n; ++r) column[r] = field[r * n + c];
+    auto& column = scratch.complexes(1);
+    column.resize(m);
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t r = 0; r < m; ++r) column[r] = field[r * m + c];
       math::fft(column.data(), plan);
-      for (std::size_t r = 0; r < n; ++r) field[r * n + c] = column[r];
+      for (std::size_t r = 0; r < m; ++r) field[r * m + c] = column[r];
     }
     return field.data();
   };
 
+  // Intensity on the imaging grid, summed in kernel order.
+  std::vector<double> image(m2, 0.0);
   if (exec_ == nullptr) {
-    util::Workspace ws;
     for (std::size_t k = 0; k < windows_.size(); ++k) {
       const math::Complex* field = render(k, ws);
-      const double w = kernel_weights_[k] * normalization_;
-      for (std::size_t i = 0; i < n2; ++i) {
-        out.values[i] += w * std::norm(field[i]);
+      const double w = kernel_weights_[k];
+      for (std::size_t i = 0; i < m2; ++i) image[i] += w * std::norm(field[i]);
+    }
+  } else {
+    // SOCS fan-out: kernels are processed in windows. Within a window each
+    // kernel's intensity w_k * |IFT[T_k * spectrum]|^2 lands in its own
+    // slot (parallel, disjoint writes); the slots are then accumulated
+    // serially in kernel order, reproducing the serial sum
+    // ((0 + I_0) + I_1) + ... bit for bit at any thread count. The window
+    // bounds slot memory at O(threads * m^2) instead of O(kernels * m^2).
+    const std::size_t kernels = windows_.size();
+    const std::size_t window =
+        std::min(kernels, std::max<std::size_t>(exec_->threads(), 1) * 2);
+    std::vector<double> slots(window * m2);
+    for (std::size_t w0 = 0; w0 < kernels; w0 += window) {
+      const std::size_t w1 = std::min(w0 + window, kernels);
+      exec_->parallel_for(w0, w1, 1, (w1 - w0) * m2 * 64,
+                          [&](std::size_t k0, std::size_t k1,
+                              util::Workspace& worker_ws) {
+        for (std::size_t k = k0; k < k1; ++k) {
+          const math::Complex* field = render(k, worker_ws);
+          const double w = kernel_weights_[k];
+          double* slot = slots.data() + (k - w0) * m2;
+          for (std::size_t i = 0; i < m2; ++i) slot[i] = w * std::norm(field[i]);
+        }
+      });
+      const obs::Span span("sim.socs_accumulate");
+      for (std::size_t k = w0; k < w1; ++k) {
+        const double* slot = slots.data() + (k - w0) * m2;
+        for (std::size_t i = 0; i < m2; ++i) image[i] += slot[i];
       }
     }
-    return out;
   }
 
-  // SOCS fan-out: kernels are processed in windows. Within a window each
-  // kernel's intensity w_k * |IFT[T_k * spectrum]|^2 lands in its own slot
-  // (parallel, disjoint writes); the slots are then accumulated serially in
-  // kernel order, reproducing the serial sum ((0 + I_0) + I_1) + ... bit
-  // for bit at any thread count. The window bounds slot memory at
-  // O(threads * grid^2) instead of O(kernels * grid^2).
-  const std::size_t kernels = windows_.size();
-  const std::size_t window = std::min(kernels, std::max<std::size_t>(exec_->threads(), 1) * 2);
-  std::vector<double> slots(window * n2);
-  for (std::size_t w0 = 0; w0 < kernels; w0 += window) {
-    const std::size_t w1 = std::min(w0 + window, kernels);
-    exec_->parallel_for(w0, w1, 1, (w1 - w0) * n2 * 64,
-                        [&](std::size_t k0, std::size_t k1,
-                            util::Workspace& ws) {
-      for (std::size_t k = k0; k < k1; ++k) {
-        const math::Complex* field = render(k, ws);
-        const double w = kernel_weights_[k] * normalization_;
-        double* slot = slots.data() + (k - w0) * n2;
-        for (std::size_t i = 0; i < n2; ++i) slot[i] = w * std::norm(field[i]);
-      }
-    });
-    const obs::Span span("sim.socs_accumulate");
-    for (std::size_t k = w0; k < w1; ++k) {
-      const double* slot = slots.data() + (k - w0) * n2;
-      for (std::size_t i = 0; i < n2; ++i) out.values[i] += slot[i];
-    }
+  FieldGrid out;
+  out.pixels = n;
+  out.extent_nm = grid_.extent_nm;
+  if (m == n) {
+    out.values = std::move(image);
+  } else {
+    const obs::Span span("sim.band_interpolate");
+    out.values.resize(n * n);
+    fourier_interpolate(image, m, n, lines, out.values.data(), exec_, ws);
   }
   return out;
 }

@@ -55,6 +55,13 @@ class OpticalModel {
   /// in parallel but accumulated in kernel order.
   FieldGrid aerial_image(const FieldGrid& mask) const;
 
+  /// Side of the band-limited grid the coherent kernels are imaged on: the
+  /// smallest power of two at least twice the widest transfer-window side,
+  /// capped at the simulation grid. The intensity spectrum fits inside it,
+  /// so aerial_image Fourier-interpolates the summed intensity to the full
+  /// grid exactly (no interpolation when it equals grid().pixels).
+  std::size_t imaging_pixels() const { return imaging_pixels_; }
+
   /// Number of coherent kernels (source points x focus planes): the main
   /// accuracy/runtime knob (Table 4's "rigorous" uses many, compact few).
   std::size_t kernel_count() const { return windows_.size(); }
@@ -74,7 +81,8 @@ class OpticalModel {
   /// frequency bins inside its shifted pupil (rho^2 <= 1) rather than a
   /// dense pixels^2 array. Coordinates are SIGNED bin indices (the pupil
   /// disk straddles DC, which wraps around the FFT grid edges); a bin
-  /// (sy0 + wy, sx0 + wx) lives at grid index ((s % n) + n) % n. For
+  /// (sy0 + wy, sx0 + wx) lives at grid index ((s % g) + g) % g on a grid of
+  /// side g (the simulation grid n or the imaging grid m). For
   /// typical configs the window covers a few percent of the grid, so both
   /// the storage and the per-kernel spectrum multiply shrink by ~n^2/(w*h),
   /// and the all-zero rows outside the window let the inverse FFT skip its
@@ -89,11 +97,18 @@ class OpticalModel {
 
   GridConfig grid_;
   util::ExecContext* exec_ = nullptr;
-  double normalization_ = 1.0;
+  std::size_t imaging_pixels_ = 0;
+  /// Largest |signed bin| any transfer window reaches: aerial_image
+  /// transforms only this band of the mask spectrum.
+  std::size_t band_ = 0;
   double kernel_ambit_nm_ = 0.0;
   /// Pupil-support windows of the transfer functions, one per
   /// (source point, focus plane).
   std::vector<TransferWindow> windows_;
+  /// Per-kernel intensity weight: source weight x open-field normalization
+  /// x (m/n)^2. The last factor (exact, a power of two) undoes the m-point
+  /// transform scaling: (m/n)^4 for the field's inverse transform and
+  /// (n/m)^2 for the interpolation's forward one.
   std::vector<double> kernel_weights_;
 };
 

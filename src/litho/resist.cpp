@@ -49,48 +49,109 @@ FieldGrid VariableThresholdResist::latent_image(const FieldGrid& aerial) const {
 
 namespace {
 
+/// Circular sliding maximum of radius r along `lanes` lines of n samples
+/// (van Herk / Gil-Werman). Sample i of lane j is src[i * step + j * pitch]
+/// and dst[i * step + j * pitch] receives the maximum of samples
+/// i - r .. i + r (mod n) of lane j. The lanes are unrolled circularly and
+/// interleaved into `ext` (n + 2r samples of `lanes` values each, sample i
+/// = source sample (i - r) mod n) and cut into blocks of k = 2r + 1. Any
+/// window of k samples spans at most two blocks, so its maximum is the
+/// suffix maximum of the first (h) against the prefix maximum of the
+/// second: three compares per sample whatever r is, and the inner loops run
+/// over contiguous lanes. `ext` and `h` must hold (n + 2r) * lanes values.
+/// dst may equal src: every sample is read before any is written. Max is
+/// exact, so the result equals the brute-force scan bit for bit.
+void circular_window_max(const double* src, double* dst, std::size_t step,
+                         std::size_t pitch, std::size_t lanes, std::size_t n,
+                         std::size_t r, double* ext, double* h) {
+  const std::size_t len = n + 2 * r;
+  const std::size_t k = 2 * r + 1;
+  if (k >= n) {
+    // The window covers the whole circle: every output is the line max.
+    double* best = ext;
+    for (std::size_t j = 0; j < lanes; ++j) best[j] = src[j * pitch];
+    for (std::size_t i = 1; i < n; ++i) {
+      for (std::size_t j = 0; j < lanes; ++j) {
+        best[j] = std::max(best[j], src[i * step + j * pitch]);
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < lanes; ++j) dst[i * step + j * pitch] = best[j];
+    }
+    return;
+  }
+  // Unroll: r samples of wrap-around, the line, r samples of wrap-around
+  // (r < n here, so no sample wraps twice).
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t from = i < r ? i + n - r : (i < n + r ? i - r : i - n - r);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      ext[i * lanes + j] = src[from * step + j * pitch];
+    }
+  }
+
+  // Suffix maxima within each block.
+  for (std::size_t b0 = 0; b0 < len; b0 += k) {
+    const std::size_t last = std::min(b0 + k, len) - 1;
+    std::copy_n(ext + last * lanes, lanes, h + last * lanes);
+    for (std::size_t i = last; i-- > b0;) {
+      const double* e = ext + i * lanes;
+      const double* next = h + (i + 1) * lanes;
+      double* cur = h + i * lanes;
+      for (std::size_t j = 0; j < lanes; ++j) cur[j] = std::max(e[j], next[j]);
+    }
+  }
+  // Prefix maxima, running in place over ext, then the window ending at
+  // each sample once the first window is complete.
+  for (std::size_t b0 = 0; b0 < len; b0 += k) {
+    const std::size_t b1 = std::min(b0 + k, len);
+    for (std::size_t i = b0 + 1; i < b1; ++i) {
+      const double* prev = ext + (i - 1) * lanes;
+      double* cur = ext + i * lanes;
+      for (std::size_t j = 0; j < lanes; ++j) cur[j] = std::max(prev[j], cur[j]);
+    }
+    for (std::size_t i = std::max(b0, k - 1); i < b1; ++i) {
+      const std::size_t x = i - (k - 1);
+      const double* g = ext + i * lanes;
+      const double* suffix = h + x * lanes;
+      for (std::size_t j = 0; j < lanes; ++j) {
+        dst[x * step + j * pitch] = std::max(suffix[j], g[j]);
+      }
+    }
+  }
+}
+
 // Separable sliding-window maximum with circular wraparound (consistent with
-// the FFT's periodic boundary). Brute-force per row/column: radius is small
-// (tens of pixels) and this runs once per simulation.
-std::vector<double> window_max(const std::vector<double>& src, std::size_t n,
-                               std::size_t radius, util::ExecContext* exec) {
-  // Both passes write disjoint rows, so they parallelize row-wise without
-  // any numerical consequence (max is order-independent anyway).
+// the FFT's periodic boundary): a horizontal pass from src into dst, then a
+// vertical pass in place, each over strips of rows or columns (a strip is
+// unrolled into scratch before any of it is written). Strips are disjoint,
+// so both passes parallelize without any numerical consequence (max is
+// exact anyway). Unrolled strips live in each worker's Workspace.
+void window_max(const double* src, double* dst, std::size_t n, std::size_t radius,
+                util::ExecContext* exec) {
   util::Workspace serial_ws;
-  std::vector<double> tmp(n * n);
-  util::parallel_for(exec, serial_ws, 0, n, exec ? exec->grain_for(n) : n,
-                     n * n * 2 * radius,
-                     [&](std::size_t y0, std::size_t y1, util::Workspace&) {
-                       // Horizontal pass.
-                       for (std::size_t y = y0; y < y1; ++y) {
-                         const double* row = src.data() + y * n;
-                         for (std::size_t x = 0; x < n; ++x) {
-                           double best = row[x];
-                           for (std::size_t d = 1; d <= radius; ++d) {
-                             best = std::max(best, row[(x + d) % n]);
-                             best = std::max(best, row[(x + n - d % n) % n]);
-                           }
-                           tmp[y * n + x] = best;
-                         }
-                       }
-                     });
-  std::vector<double> out(n * n);
-  util::parallel_for(exec, serial_ws, 0, n, exec ? exec->grain_for(n) : n,
-                     n * n * 2 * radius,
-                     [&](std::size_t y0, std::size_t y1, util::Workspace&) {
-                       // Vertical pass.
-                       for (std::size_t y = y0; y < y1; ++y) {
-                         for (std::size_t x = 0; x < n; ++x) {
-                           double best = tmp[y * n + x];
-                           for (std::size_t d = 1; d <= radius; ++d) {
-                             best = std::max(best, tmp[((y + d) % n) * n + x]);
-                             best = std::max(best, tmp[((y + n - d % n) % n) * n + x]);
-                           }
-                           out[y * n + x] = best;
-                         }
-                       }
-                     });
-  return out;
+  const auto pass = [&](const double* in, std::size_t step, std::size_t pitch,
+                        std::size_t strip) {
+    const std::size_t strips = (n + strip - 1) / strip;
+    util::parallel_for(
+        exec, serial_ws, 0, strips, exec ? exec->grain_for(strips) : strips, n * n * 6,
+        [&](std::size_t s0, std::size_t s1, util::Workspace& ws) {
+          auto& ext = ws.doubles(0);
+          auto& h = ws.doubles(1);
+          ext.resize((n + 2 * radius) * strip);
+          h.resize(ext.size());
+          for (std::size_t s = s0; s < s1; ++s) {
+            const std::size_t first = s * strip;
+            circular_window_max(in + first * pitch, dst + first * pitch, step, pitch,
+                                std::min(strip, n - first), n, radius, ext.data(),
+                                h.data());
+          }
+        });
+  };
+  // Strip widths measured on a 512-px grid. A row strip gathers and
+  // scatters its lines a grid row apart, and 8 such lines still share an L1
+  // set without thrashing; a column strip reads whole contiguous runs.
+  pass(src, /*step=*/1, /*pitch=*/n, /*strip=*/8);   // lanes are rows
+  pass(dst, /*step=*/n, /*pitch=*/1, /*strip=*/32);  // lanes are columns
 }
 
 }  // namespace
@@ -102,28 +163,35 @@ FieldGrid VariableThresholdResist::threshold_field(const FieldGrid& latent) cons
   const auto radius = static_cast<std::size_t>(
       std::max(1.0, std::round(config_.vtr_window_nm / (2.0 * dx))));
 
-  const std::vector<double> local_max = window_max(latent.values, n, radius, exec_);
+  // The window max lands in the output grid; the threshold formula then
+  // rewrites each pixel in place.
+  FieldGrid out;
+  out.pixels = n;
+  out.extent_nm = latent.extent_nm;
+  out.values.resize(n * n);
+  window_max(latent.values.data(), out.values.data(), n, radius, exec_);
 
-  FieldGrid out = latent;
+  const double* in = latent.values.data();
+  double* thr = out.values.data();
   util::Workspace serial_ws;
   util::parallel_for(
       exec_, serial_ws, 0, n, exec_ ? exec_->grain_for(n) : n, n * n * 12,
       [&](std::size_t y0, std::size_t y1, util::Workspace&) {
         for (std::size_t y = y0; y < y1; ++y) {
+          const double* row = in + y * n;
+          const double* up = in + (y + 1 < n ? y + 1 : 0) * n;
+          const double* down = in + (y > 0 ? y - 1 : n - 1) * n;
+          double* local = thr + y * n;  // holds the local max on entry
           for (std::size_t x = 0; x < n; ++x) {
             // Central-difference gradient magnitude (per nm), circular boundary.
-            const double gx =
-                (latent.at((x + 1) % n, y) - latent.at((x + n - 1) % n, y)) /
-                (2.0 * dx);
-            const double gy =
-                (latent.at(x, (y + 1) % n) - latent.at(x, (y + n - 1) % n)) /
-                (2.0 * dx);
+            const std::size_t right = x + 1 < n ? x + 1 : 0;
+            const std::size_t left = x > 0 ? x - 1 : n - 1;
+            const double gx = (row[right] - row[left]) / (2.0 * dx);
+            const double gy = (up[x] - down[x]) / (2.0 * dx);
             const double grad = std::sqrt(gx * gx + gy * gy);
-            out.values[y * n + x] =
-                config_.threshold +
-                config_.vtr_max_coeff *
-                    (local_max[y * n + x] - config_.vtr_reference_imax) +
-                config_.vtr_slope_coeff * grad;
+            local[x] = config_.threshold +
+                       config_.vtr_max_coeff * (local[x] - config_.vtr_reference_imax) +
+                       config_.vtr_slope_coeff * grad;
           }
         }
       });

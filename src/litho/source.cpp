@@ -13,7 +13,6 @@ std::vector<SourcePoint> sample_source(const OpticalConfig& config) {
   std::vector<SourcePoint> points;
   points.reserve(config.source_rings * config.source_points_per_ring);
 
-  const double sigma_mid = 0.5 * (config.sigma_inner + config.sigma_outer);
   for (std::size_t r = 0; r < config.source_rings; ++r) {
     // Ring radii placed at the midpoints of equal-width annular strips.
     const double frac = (static_cast<double>(r) + 0.5) / static_cast<double>(config.source_rings);
@@ -43,7 +42,6 @@ std::vector<SourcePoint> sample_source(const OpticalConfig& config) {
   // aerial image is normalized downstream so only relative weights matter.
   const double w = 1.0 / static_cast<double>(points.size());
   for (auto& p : points) p.weight = w;
-  (void)sigma_mid;
   return points;
 }
 

@@ -268,35 +268,6 @@ std::vector<Complex> fft2d_real_forward(const std::vector<double>& data,
   return out;
 }
 
-std::vector<double> convolve2d_circular(const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        std::size_t rows, std::size_t cols,
-                                        util::ExecContext* exec) {
-  LITHOGAN_REQUIRE(a.size() == rows * cols && b.size() == rows * cols,
-                   "convolve2d size mismatch");
-  std::vector<Complex> fa = fft2d_real_forward(a, rows, cols, exec);
-  const std::vector<Complex> fb = fft2d_real_forward(b, rows, cols, exec);
-  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= fb[i];
-  fft2d(fa, rows, cols, /*inverse=*/true, exec);
-  std::vector<double> out(rows * cols);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = fa[i].real();
-  return out;
-}
-
-std::vector<Complex> convolve2d_circular_complex(const std::vector<double>& field,
-                                                 const std::vector<Complex>& kernel,
-                                                 std::size_t rows, std::size_t cols,
-                                                 util::ExecContext* exec) {
-  LITHOGAN_REQUIRE(field.size() == rows * cols && kernel.size() == rows * cols,
-                   "convolve2d size mismatch");
-  std::vector<Complex> ff = fft2d_real_forward(field, rows, cols, exec);
-  std::vector<Complex> fk = kernel;
-  fft2d(fk, rows, cols, /*inverse=*/false, exec);
-  for (std::size_t i = 0; i < ff.size(); ++i) ff[i] *= fk[i];
-  fft2d(ff, rows, cols, /*inverse=*/true, exec);
-  return ff;
-}
-
 std::vector<Complex> naive_dft(const std::vector<Complex>& data, bool inverse) {
   const std::size_t n = data.size();
   const double sign = inverse ? 1.0 : -1.0;

@@ -85,20 +85,6 @@ std::vector<Complex> fft2d_real_forward(const std::vector<double>& data,
                                         std::size_t rows, std::size_t cols,
                                         util::ExecContext* exec = nullptr);
 
-/// Circular 2-D convolution of two real grids of identical power-of-two
-/// size, returning the real part of the product-spectrum inverse transform.
-std::vector<double> convolve2d_circular(const std::vector<double>& a,
-                                        const std::vector<double>& b,
-                                        std::size_t rows, std::size_t cols,
-                                        util::ExecContext* exec = nullptr);
-
-/// Circular 2-D convolution where the kernel is complex (optical kernels
-/// carry phase under defocus). Returns a complex field.
-std::vector<Complex> convolve2d_circular_complex(const std::vector<double>& field,
-                                                 const std::vector<Complex>& kernel,
-                                                 std::size_t rows, std::size_t cols,
-                                                 util::ExecContext* exec = nullptr);
-
 /// Reference O(N^2) DFT used by tests to validate the FFT.
 std::vector<Complex> naive_dft(const std::vector<Complex>& data, bool inverse);
 

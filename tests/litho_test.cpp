@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "geometry/marching_squares.hpp"
 #include "litho/optical.hpp"
@@ -10,6 +11,8 @@
 #include "litho/simulator.hpp"
 #include "litho/source.hpp"
 #include "util/error.hpp"
+#include "util/exec_context.hpp"
+#include "util/rng.hpp"
 
 namespace ll = lithogan::litho;
 namespace lg = lithogan::geometry;
@@ -351,6 +354,101 @@ TEST(Resist, VariableThresholdDependsOnNeighborhood) {
   const std::size_t center_idx =
       (p.grid.pixels / 2) * p.grid.pixels + p.grid.pixels / 2;
   EXPECT_GT(std::abs(thr_dense.values[center_idx] - thr_iso.values[center_idx]), 1e-4);
+}
+
+namespace {
+
+// VariableThresholdResist::threshold_field as first written: an O(r)
+// circular scan per pixel per pass. Kept as the reference the O(1) window
+// max must reproduce bit for bit.
+ll::FieldGrid brute_force_threshold(const ll::FieldGrid& latent,
+                                    const ll::ResistConfig& config) {
+  const std::size_t n = latent.pixels;
+  const double dx = latent.pixel_nm();
+  const auto radius = static_cast<std::size_t>(
+      std::max(1.0, std::round(config.vtr_window_nm / (2.0 * dx))));
+  std::vector<double> tmp(n * n);
+  for (std::size_t y = 0; y < n; ++y) {
+    const double* row = latent.values.data() + y * n;
+    for (std::size_t x = 0; x < n; ++x) {
+      double best = row[x];
+      for (std::size_t d = 1; d <= radius; ++d) {
+        best = std::max(best, row[(x + d) % n]);
+        best = std::max(best, row[(x + n - d % n) % n]);
+      }
+      tmp[y * n + x] = best;
+    }
+  }
+  std::vector<double> local_max(n * n);
+  for (std::size_t y = 0; y < n; ++y) {
+    for (std::size_t x = 0; x < n; ++x) {
+      double best = tmp[y * n + x];
+      for (std::size_t d = 1; d <= radius; ++d) {
+        best = std::max(best, tmp[((y + d) % n) * n + x]);
+        best = std::max(best, tmp[((y + n - d % n) % n) * n + x]);
+      }
+      local_max[y * n + x] = best;
+    }
+  }
+  ll::FieldGrid out = latent;
+  for (std::size_t y = 0; y < n; ++y) {
+    for (std::size_t x = 0; x < n; ++x) {
+      const double gx =
+          (latent.at((x + 1) % n, y) - latent.at((x + n - 1) % n, y)) / (2.0 * dx);
+      const double gy =
+          (latent.at(x, (y + 1) % n) - latent.at(x, (y + n - 1) % n)) / (2.0 * dx);
+      const double grad = std::sqrt(gx * gx + gy * gy);
+      out.values[y * n + x] =
+          config.threshold +
+          config.vtr_max_coeff * (local_max[y * n + x] - config.vtr_reference_imax) +
+          config.vtr_slope_coeff * grad;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Resist, VariableThresholdMatchesBruteForceWindowMax) {
+  struct Case {
+    std::size_t n;
+    std::size_t radius;
+  };
+  const Case cases[] = {
+      {64, 1},   // smallest window
+      {64, 31},  // 2r + 1 = n - 1: the widest window short of the circle
+      {64, 32},  // 2r + 1 = n + 1: the whole line
+      {64, 45},  // r > n / 2
+      {48, 5},   // non-power-of-two n, a partial vertical strip
+      {37, 18},  // odd n with 2r + 1 = n
+      {40, 7},   // block size k = 15 does not divide n + 2r = 54
+  };
+  lithogan::util::Rng rng(17);
+  for (const Case& c : cases) {
+    ll::FieldGrid latent;
+    latent.pixels = c.n;
+    latent.extent_nm = static_cast<double>(c.n);  // 1 nm pixels
+    latent.values.resize(c.n * c.n);
+    for (double& v : latent.values) v = rng.uniform(0.05, 0.9);
+    ll::ResistConfig config;
+    config.vtr_window_nm = 2.0 * static_cast<double>(c.radius);
+    const ll::FieldGrid expected = brute_force_threshold(latent, config);
+
+    ll::VariableThresholdResist resist(config);
+    const ll::FieldGrid serial = resist.threshold_field(latent);
+    ASSERT_EQ(serial.values.size(), expected.values.size());
+    EXPECT_EQ(0, std::memcmp(serial.values.data(), expected.values.data(),
+                             expected.values.size() * sizeof(double)))
+        << "n=" << c.n << " r=" << c.radius;
+
+    lithogan::util::ExecContext exec(2);
+    exec.pool().set_dispatch_cost(0);  // fan out even these small grids
+    resist.set_exec_context(&exec);
+    const ll::FieldGrid parallel = resist.threshold_field(latent);
+    EXPECT_EQ(0, std::memcmp(parallel.values.data(), expected.values.data(),
+                             expected.values.size() * sizeof(double)))
+        << "n=" << c.n << " r=" << c.radius << " threads=2";
+  }
 }
 
 TEST(Resist, NegativeSigmaRejected) {

@@ -140,48 +140,6 @@ TEST(Fft2d, SeparableSinusoidHasSinglePeak) {
   }
 }
 
-TEST(Convolve2d, DeltaKernelIsIdentity) {
-  const std::size_t n = 8;
-  lithogan::util::Rng rng(4);
-  std::vector<double> field(n * n);
-  for (auto& v : field) v = rng.uniform(0, 1);
-  std::vector<double> kernel(n * n, 0.0);
-  kernel[0] = 1.0;  // delta at origin
-  const auto out = lm::convolve2d_circular(field, kernel, n, n);
-  for (std::size_t i = 0; i < field.size(); ++i) EXPECT_NEAR(out[i], field[i], 1e-9);
-}
-
-TEST(Convolve2d, ShiftedDeltaTranslatesCircularly) {
-  const std::size_t n = 8;
-  std::vector<double> field(n * n, 0.0);
-  field[0] = 1.0;
-  std::vector<double> kernel(n * n, 0.0);
-  kernel[2 * n + 3] = 1.0;  // delta at (x=3, y=2)
-  const auto out = lm::convolve2d_circular(field, kernel, n, n);
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) {
-      const double expected = (x == 3 && y == 2) ? 1.0 : 0.0;
-      EXPECT_NEAR(out[y * n + x], expected, 1e-9);
-    }
-  }
-}
-
-TEST(Convolve2d, ComplexKernelMatchesRealPath) {
-  const std::size_t n = 16;
-  lithogan::util::Rng rng(5);
-  std::vector<double> field(n * n);
-  std::vector<double> kernel_r(n * n);
-  for (auto& v : field) v = rng.uniform(0, 1);
-  for (auto& v : kernel_r) v = rng.uniform(-1, 1);
-  std::vector<Complex> kernel_c(kernel_r.begin(), kernel_r.end());
-  const auto real_out = lm::convolve2d_circular(field, kernel_r, n, n);
-  const auto cplx_out = lm::convolve2d_circular_complex(field, kernel_c, n, n);
-  for (std::size_t i = 0; i < real_out.size(); ++i) {
-    EXPECT_NEAR(cplx_out[i].real(), real_out[i], 1e-9);
-    EXPECT_NEAR(cplx_out[i].imag(), 0.0, 1e-9);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // GEMM
 // ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
-// Equivalence tests for the two Hermitian-symmetry fast paths added to the
-// imaging stack: the real-to-complex forward FFT (math::fft2d_real_forward)
-// and the pupil-support-pruned SOCS transfer in litho::OpticalModel. Both
-// must agree with the dense complex-path computation to <= 1e-12 relative
-// error — the fast paths exploit exact structure (Hermitian spectra, zeros
-// outside the pupil), so any larger deviation is a bug, not rounding.
+// Equivalence tests for the fast paths of the imaging stack: the
+// real-to-complex forward FFT (math::fft2d_real_forward) and the
+// pupil-support-pruned SOCS transfer on the band-limited imaging grid in
+// litho::OpticalModel. Both must agree with the dense complex-path
+// computation to <= 1e-12 relative error — the fast paths exploit exact
+// structure (Hermitian spectra, zeros outside the pupil, an intensity
+// spectrum inside the imaging grid's band), so any larger deviation is a
+// bug, not rounding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <numbers>
+#include <tuple>
 #include <vector>
 
 #include "litho/optical.hpp"
@@ -163,16 +166,26 @@ litho::FieldGrid test_mask(const litho::GridConfig& grid) {
   return litho::rasterize_mask(openings, grid);
 }
 
-class PrunedAerialTest : public ::testing::TestWithParam<int> {};
+// (source shape, grid): the three grids cover a 2x band-limited imaging
+// grid, an 8x one (the 256-px clip), and one where the imaging grid is the
+// simulation grid.
+struct AerialGrid {
+  std::size_t pixels;
+  std::size_t imaging_pixels;
+};
+constexpr AerialGrid kAerialGrids[] = {{64, 32}, {256, 32}, {32, 32}};
+
+class PrunedAerialTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
+  const auto [shape, grid_index] = GetParam();
   litho::GridConfig grid;
-  grid.pixels = 64;
+  grid.pixels = kAerialGrids[grid_index].pixels;
   grid.extent_nm = 1024.0;
 
   litho::OpticalConfig optical;
-  optical.source_shape = GetParam() == 0 ? litho::SourceShape::kAnnular
-                                         : litho::SourceShape::kQuadrupole;
+  optical.source_shape = shape == 0 ? litho::SourceShape::kAnnular
+                                    : litho::SourceShape::kQuadrupole;
   optical.source_rings = 2;
   optical.source_points_per_ring = 8;
   optical.focus_planes = 2;
@@ -184,19 +197,24 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
   const litho::FieldGrid reference = dense_aerial_reference(optical, grid, mask);
 
   litho::OpticalModel model(optical, grid);
+  ASSERT_EQ(model.imaging_pixels(), kAerialGrids[grid_index].imaging_pixels);
   const litho::FieldGrid pruned = model.aerial_image(mask);
 
   double peak = 0.0;
   for (const double v : reference.values) peak = std::max(peak, std::abs(v));
   ASSERT_GT(peak, 0.0);
+  ASSERT_EQ(pruned.values.size(), reference.values.size());
   for (std::size_t i = 0; i < reference.values.size(); ++i) {
     ASSERT_LE(std::abs(pruned.values[i] - reference.values[i]), 1e-12 * peak)
         << "pixel " << i;
   }
 
-  // The pruned path must also be bit-identical across thread counts.
+  // The pruned path must also be bit-identical across thread counts. The
+  // dispatch gate is off so every kernel window and interpolation stage
+  // really fans out.
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     util::ExecContext exec(threads);
+    exec.pool().set_dispatch_cost(0);
     litho::OpticalModel parallel_model(optical, grid, &exec);
     const litho::FieldGrid parallel = parallel_model.aerial_image(mask);
     ASSERT_EQ(0, std::memcmp(pruned.values.data(), parallel.values.data(),
@@ -205,7 +223,9 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sources, PrunedAerialTest, ::testing::Values(0, 1));
+INSTANTIATE_TEST_SUITE_P(SourcesAndGrids, PrunedAerialTest,
+                         ::testing::Combine(::testing::Values(0, 1),
+                                            ::testing::Values(0, 1, 2)));
 
 }  // namespace
 }  // namespace lithogan
