@@ -1,0 +1,71 @@
+#include "alloc_count.hpp"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::size_t> g_alloc_events{0};
+
+void note_alloc() {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+}  // namespace
+
+namespace lithogan::bench {
+
+void start_alloc_count() {
+  g_alloc_events.store(0);
+  g_count_allocs.store(true);
+}
+
+std::size_t stop_alloc_count() {
+  g_count_allocs.store(false);
+  return g_alloc_events.load();
+}
+
+}  // namespace lithogan::bench
+
+void* operator new(std::size_t n) {
+  note_alloc();
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t align) {
+  note_alloc();
+  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
+                                   (n + static_cast<std::size_t>(align) - 1) &
+                                       ~(static_cast<std::size_t>(align) - 1))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t align) {
+  return ::operator new(n, align);
+}
+// The nothrow forms (std::get_temporary_buffer, e.g. inside stable_sort)
+// must come from this malloc too, or a sanitizer's own operator new would
+// be paired with the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  note_alloc();
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return ::operator new(n, std::nothrow);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }

@@ -207,7 +207,6 @@ inline bool write_bench_json(const std::string& path,
                "\"conv.algo.direct\": %llu, \"conv.algo.fft\": %llu, "
                "\"threadpool.jobs_inlined\": %llu, "
                "\"threadpool.jobs_dispatched\": %llu, "
-               "\"quant.absmax_pass\": %llu, \"quant.saturated\": %llu, "
                "\"trace.spans_dropped\": %llu, "
                "\"infer.weight_bytes\": %.0f}\n}\n",
                static_cast<unsigned long long>(reg.counter_value("fft.plan_cache.hit")),
@@ -220,8 +219,6 @@ inline bool write_bench_json(const std::string& path,
                static_cast<unsigned long long>(reg.counter_value("threadpool.jobs_inlined")),
                static_cast<unsigned long long>(
                    reg.counter_value("threadpool.jobs_dispatched")),
-               static_cast<unsigned long long>(reg.counter_value("quant.absmax_pass")),
-               static_cast<unsigned long long>(reg.counter_value("quant.saturated")),
                static_cast<unsigned long long>(
                    reg.counter_value("trace.spans_dropped")),
                reg.gauge("infer.weight_bytes").value());

@@ -11,8 +11,8 @@
 //     first tiles warm up, then reused for the rest of the chip and for
 //     every later run;
 //   * bounded steady state: the entire second learned run must perform zero
-//     heap allocations, measured with a counting global operator new (the
-//     serve_bench pattern) — warm buffers, pooled polygons and the shared
+//     heap allocations, measured with the counting global operator new of
+//     alloc_count.hpp — warm buffers, pooled polygons and the shared
 //     PredictScratch absorb the whole chip;
 //   * the tile ring must hold min(ring_depth, tiles) slots — streaming may
 //     never materialize the chip.
@@ -21,71 +21,25 @@
 // records (contacts/s, dir:"higher") plus a "chip" block with the tiling
 // geometry, per-path rates and gate verdicts. LITHOGAN_BENCH_CHIP_CONFIG=
 // tiny drops to smoke scale (reduced source, 1024 nm tiles, tiny model).
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_json.hpp"
 #include "chip/layout.hpp"
 #include "chip/pipeline.hpp"
 #include "core/config.hpp"
 #include "core/lithogan.hpp"
 #include "litho/simulator.hpp"
-#include "math/half.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
 #include "util/timer.hpp"
 
 using namespace lithogan;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every global new is tallied while the window is open.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_events{0};
-
-void note_alloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  note_alloc();
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
-  note_alloc();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t align) {
-  return ::operator new(n, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -188,7 +142,7 @@ int main() {
   // pooled buffer; the second run is measured AND counted — the whole chip
   // must stream with zero heap allocations.
   core::LithoGan model(model_cfg, core::Mode::kDualLearning);
-  const std::string dtype = math::dtype_name(model.serving_precision());
+  const std::string dtype = model.serving_precision();
   std::map<std::uint32_t, ContactSummary> learned_results;
   pipe.run_learned(model, [&](std::size_t, std::span<const chip::ContactResult> r) {
     for (const chip::ContactResult& x : r) {
@@ -198,8 +152,7 @@ int main() {
   const std::size_t learned_warm_misses = plan_misses();
   std::size_t learned_contacts = 0;
   std::size_t* learned_counter = &learned_contacts;
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  bench::start_alloc_count();
   util::Timer learned_timer;
   pipe.run_learned(model,
                    [learned_counter](std::size_t, std::span<const chip::ContactResult> r) {
@@ -207,8 +160,7 @@ int main() {
                    });
   PathSummary learned;
   learned.seconds = learned_timer.elapsed_seconds();
-  g_count_allocs.store(false);
-  const std::size_t learned_steady_allocs = g_alloc_events.load();
+  const std::size_t learned_steady_allocs = bench::stop_alloc_count();
   learned.contacts = learned_contacts;
   learned.contacts_per_s =
       static_cast<double>(learned.contacts) / std::max(learned.seconds, 1e-9);

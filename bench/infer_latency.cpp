@@ -4,24 +4,18 @@
 // (per-layer heap allocation, autodiff input caching, per-call weight
 // repacking, separate bias/activation sweeps) — against InferencePlan with
 // prepacked weight panels, a liveness-planned activation arena and fused
-// GEMM epilogues, then sweeps the plan's batch size — at fp32 and at every
-// reduced precision (f16, bf16, i8) — and the end-to-end
+// GEMM epilogues, then sweeps the plan's batch size and the end-to-end
 // LithoGan::predict_batch pipeline (generator plan + center-CNN plan +
 // recentering).
 //
-// Gates (the last two affect the exit code):
-//   * single-clip fp32 plan latency must be >= 2x faster than the
-//     module-forward path, and the f16 plan faster than the fp32 plan at
-//     batch 1 (printed OK/MISS, like the table benches' shape checks);
+// Gates:
+//   * single-clip plan latency must be >= 2x faster than the module-forward
+//     path (printed OK/MISS, like the table benches' shape checks);
 //   * steady-state infer() calls at a warm batch size must perform zero
-//     arena allocations, for EVERY precision — activation quantization runs
-//     in workspace scratch, never the heap (hard FAIL — deterministic);
-//   * every reduced precision must pass the accuracy gate against the fp32
-//     plan output (eval::compare_outputs vs eval::gate_tolerance).
+//     arena allocations (hard FAIL — deterministic, affects the exit code).
 //
 // Output: BENCH_infer.json (override with LITHOGAN_BENCH_JSON), one record
-// per row with ns_per_iter = per-clip nanoseconds and the row's weight
-// dtype in "dtype".
+// per row with ns_per_iter = per-clip nanoseconds.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -36,9 +30,7 @@
 #include "core/lithogan.hpp"
 #include "data/batch.hpp"
 #include "data/sample.hpp"
-#include "eval/precision_gate.hpp"
 #include "image/ops.hpp"
-#include "math/half.hpp"
 #include "nn/infer.hpp"
 #include "nn/sequential.hpp"
 #include "util/logging.hpp"
@@ -130,9 +122,8 @@ int main() {
   const double module_s = best_of(7, 20, [&] { (void)gen.forward(mask1); });
   records.push_back({"generator_forward_module", shape, 1, module_s * 1e9, 0.0});
 
-  // (b) Compiled plans over the same generator, batch sweep x precision
-  // sweep. Shared mask tensors: every precision times (and is accuracy-
-  // gated on) identical inputs. Per-clip time divides the batch out.
+  // (b) Compiled plan over the same generator, batch sweep. Per-clip time
+  // divides the batch out.
   const std::vector<std::size_t> batches{1, 4, 16};
   std::vector<nn::Tensor> mask_sets;
   for (const std::size_t b : batches) mask_sets.push_back(random_masks(b, cfg, rng));
@@ -143,67 +134,22 @@ int main() {
   std::printf("  %-26s %12.1f %12.0f %9s\n", "module forward (b1)", module_s * 1e6,
               1.0 / module_s, "1.00x");
 
-  double f32_b1_s = 0.0, f16_b1_s = 0.0;
-  bool zero_alloc = true;
-  bool accuracy_ok = true;
-  nn::Tensor ref_out;  // fp32 output on the batch-4 masks, accuracy reference
-  std::vector<std::string> acc_lines;
-
-  for (const math::Dtype dtype : {math::Dtype::kF32, math::Dtype::kF16,
-                                  math::Dtype::kBF16, math::Dtype::kI8}) {
-    nn::InferencePlan plan;
-    // The fp32 plan pins its precision explicitly: it is the bit-exact
-    // reference and must not follow a LITHOGAN_INFER_DTYPE override.
-    plan.set_precision(dtype);
-    plan.compile(gen, sample_shape);
-    const std::string dt = math::dtype_name(dtype);
-    // Keep the historical fp32 row names ("infer_plan_b1") diffable across
-    // trajectories; reduced rows carry the dtype in the op name too, so
-    // speedup_vs_1t never pairs rows of different precisions.
-    const std::string prefix =
-        dtype == math::Dtype::kF32 ? "infer_plan_b" : "infer_plan_" + dt + "_b";
-
-    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-      const std::size_t batch = batches[bi];
-      const nn::Tensor& masks = mask_sets[bi];
-      (void)plan.infer(masks);  // warm the arena at this batch size
-      const double per_clip = best_of(7, 20, [&] { (void)plan.infer(masks); }) /
-                              static_cast<double>(batch);
-      if (batch == 1 && dtype == math::Dtype::kF32) f32_b1_s = per_clip;
-      if (batch == 1 && dtype == math::Dtype::kF16) f16_b1_s = per_clip;
-      const std::string row = prefix + std::to_string(batch);
-      records.push_back({row, shape, 1, per_clip * 1e9, 0.0, dt});
-      std::printf("  %-26s %12.1f %12.0f %9.2fx\n", row.c_str(), per_clip * 1e6,
-                  1.0 / per_clip, module_s / per_clip);
-    }
-
-    // Zero-allocation gate per precision: int8's activation quantization and
-    // the 16-bit panel inflation both run in capacity-retaining workspace
-    // scratch, so they are held to the same standard as fp32.
-    const std::size_t delta = steady_state_allocs(plan, mask_sets.back());
-    if (delta != 0) {
-      zero_alloc = false;
-      std::printf("  %-26s steady-state allocated (%zu events)\n",
-                  ("alloc_gate_" + dt).c_str(), delta);
-    }
-
-    // Accuracy gate vs the fp32 plan on the shared batch-4 masks.
-    const nn::Tensor& out = plan.infer(mask_sets[1]);
-    if (dtype == math::Dtype::kF32) {
-      ref_out = out;  // copy: plan-owned storage is reused
-    } else {
-      const eval::GateResult r = eval::compare_outputs(ref_out, out);
-      const eval::GateTolerance tol = eval::gate_tolerance(dtype);
-      const bool pass = r.pass(tol);
-      accuracy_ok = accuracy_ok && pass;
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "  %-5s iou=%.4f center=%.3f max_abs=%.2e weights=%zuK  %s",
-                    dt.c_str(), r.mean_iou, r.max_center, r.max_abs,
-                    plan.weight_bytes() / 1024, pass ? "OK" : "FAIL");
-      acc_lines.push_back(line);
-    }
+  nn::InferencePlan plan;
+  plan.compile(gen, sample_shape);
+  double plan_b1_s = 0.0;
+  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+    const std::size_t batch = batches[bi];
+    const nn::Tensor& masks = mask_sets[bi];
+    (void)plan.infer(masks);  // warm the arena at this batch size
+    const double per_clip = best_of(7, 20, [&] { (void)plan.infer(masks); }) /
+                            static_cast<double>(batch);
+    if (batch == 1) plan_b1_s = per_clip;
+    const std::string row = "infer_plan_b" + std::to_string(batch);
+    records.push_back({row, shape, 1, per_clip * 1e9, 0.0});
+    std::printf("  %-26s %12.1f %12.0f %9.2fx\n", row.c_str(), per_clip * 1e6,
+                1.0 / per_clip, module_s / per_clip);
   }
+  const std::size_t steady_allocs = steady_state_allocs(plan, mask_sets.back());
 
   // (c) End-to-end predict_batch: both plans + batching + recentering.
   const std::size_t n_clips = 16;
@@ -213,37 +159,23 @@ int main() {
   const double e2e_per_clip =
       best_of(5, 4, [&] { (void)model.predict_batch(span); }) /
       static_cast<double>(n_clips);
-  // predict_batch's internal plans are default-constructed, so their dtype
-  // follows the LITHOGAN_INFER_DTYPE override — record what actually ran.
-  math::Dtype e2e_dtype = math::Dtype::kF32;
-  math::parse_dtype(std::getenv("LITHOGAN_INFER_DTYPE"), e2e_dtype);
-  records.push_back({"predict_batch_b16", shape, 1, e2e_per_clip * 1e9, 0.0,
-                     math::dtype_name(e2e_dtype)});
+  records.push_back({"predict_batch_b16", shape, 1, e2e_per_clip * 1e9, 0.0});
   std::printf("  %-26s %12.1f %12.0f %9s\n", "predict_batch (b16, e2e)",
               e2e_per_clip * 1e6, 1.0 / e2e_per_clip, "-");
 
-  const double speedup = module_s / std::max(f32_b1_s, 1e-12);
-  const double f16_gain = f32_b1_s / std::max(f16_b1_s, 1e-12);
-  std::printf("\naccuracy vs fp32 plan (batch 4):\n");
-  for (const std::string& l : acc_lines) std::printf("%s\n", l.c_str());
+  const double speedup = module_s / std::max(plan_b1_s, 1e-12);
   std::printf("\nchecks:\n");
   std::printf("  plan >= 2x module forward (b1): %s (%.2fx)\n",
               speedup >= 2.0 ? "OK" : "MISS", speedup);
-  std::printf("  f16 plan faster than f32 (b1):  %s (%.2fx)\n",
-              f16_gain > 1.0 ? "OK" : "MISS", f16_gain);
-  std::printf("  zero steady-state allocations:  %s\n", zero_alloc ? "OK" : "FAIL");
-  std::printf("  reduced-precision accuracy:     %s\n", accuracy_ok ? "OK" : "FAIL");
+  std::printf("  zero steady-state allocations:  %s (%zu events)\n",
+              steady_allocs == 0 ? "OK" : "FAIL", steady_allocs);
 
   const char* json_path = std::getenv("LITHOGAN_BENCH_JSON");
   bench::write_bench_json(json_path != nullptr ? json_path : "BENCH_infer.json",
                           records);
 
-  if (!zero_alloc) {
+  if (steady_allocs != 0) {
     std::printf("\nFAIL: steady-state infer() allocated\n");
-    return 1;
-  }
-  if (!accuracy_ok) {
-    std::printf("\nFAIL: reduced-precision accuracy gate\n");
     return 1;
   }
   return 0;

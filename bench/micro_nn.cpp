@@ -22,7 +22,6 @@
 #include "math/conv.hpp"
 #include "math/gemm.hpp"
 #include "nn/conv.hpp"
-#include "nn/im2col.hpp"
 #include "nn/tensor.hpp"
 #include "util/exec_context.hpp"
 #include "util/rng.hpp"
@@ -87,7 +86,7 @@ static void BM_Conv2dForward(benchmark::State& state) {
   }
   set_thread_counters(state);
   // 4 samples x (out_ch x out_plane x in_ch*k*k) multiply-adds.
-  const double cols = static_cast<double>(nn::conv_out_size(size, 5, 2, 2));
+  const double cols = static_cast<double>(math::conv_out_size(size, 5, 2, 2));
   set_flops_counter(state, 4.0 * 2.0 * 32.0 * cols * cols * (16.0 * 25.0));
 }
 BENCHMARK(BM_Conv2dForward)->ArgsProduct({{32, 64}, {0, 1, 2, 4, 8}});
@@ -108,7 +107,7 @@ static void BM_Conv2dBackward(benchmark::State& state) {
   set_thread_counters(state);
   // Weight-gradient and data-gradient GEMMs each match the forward GEMM's
   // FLOP count.
-  const double cols = static_cast<double>(nn::conv_out_size(size, 5, 2, 2));
+  const double cols = static_cast<double>(math::conv_out_size(size, 5, 2, 2));
   set_flops_counter(state, 2.0 * 4.0 * 2.0 * 32.0 * cols * cols * (16.0 * 25.0));
 }
 BENCHMARK(BM_Conv2dBackward)->ArgsProduct({{32, 64}, {0, 1, 2, 4, 8}});
@@ -246,7 +245,7 @@ static void BM_PaperScaleGeneratorLayer(benchmark::State& state) {
   }
   state.counters["threads"] =
       benchmark::Counter(static_cast<double>(std::max<std::int64_t>(1, state.range(0))));
-  const double cols = static_cast<double>(nn::conv_out_size(256, 5, 2, 2));
+  const double cols = static_cast<double>(math::conv_out_size(256, 5, 2, 2));
   set_flops_counter(state, 2.0 * 64.0 * cols * cols * (3.0 * 25.0));
 }
 BENCHMARK(BM_PaperScaleGeneratorLayer)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

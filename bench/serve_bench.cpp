@@ -12,9 +12,10 @@
 //     throughput must be >= the batch-1 serial throughput — batching must
 //     convert queueing into throughput, not just add latency;
 //   * the scheduler dispatch loop must be allocation-free in steady state,
-//     measured with a counting global operator new over a warm saturated
-//     burst (submission, dispatch, inference, writeback — everything except
-//     the waiter-side Response copy, which is deferred out of the window).
+//     measured with the counting operator new of alloc_count.hpp over a
+//     warm saturated burst (submission, dispatch, inference, writeback —
+//     everything except the waiter-side Response copy, which is deferred
+//     out of the window).
 //     The burst runs with telemetry ARMED — tracing on, exporter running —
 //     so per-request spans and flow correlation are proven alloc-free, not
 //     just the bare dispatch path;
@@ -32,7 +33,6 @@
 // scale; LITHOGAN_BENCH_SERVE_DURATION=<seconds> sets the per-point
 // duration (default 1.5).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -40,17 +40,16 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "alloc_count.hpp"
 #include "bench_json.hpp"
 #include "core/config.hpp"
 #include "core/lithogan.hpp"
 #include "data/sample.hpp"
 #include "image/ops.hpp"
-#include "math/half.hpp"
 #include "obs/exporter.hpp"
 #include "obs/trace.hpp"
 #include "serve/server.hpp"
@@ -60,50 +59,6 @@
 #include "util/traffic.hpp"
 
 using namespace lithogan;
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every global new is tallied while the window is open.
-// ---------------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_events{0};
-
-void note_alloc() {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_events.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  note_alloc();
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t align) {
-  note_alloc();
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (n + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t align) {
-  return ::operator new(n, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -239,7 +194,7 @@ int main() {
                             std::to_string(cfg.image_size) + "x" +
                             std::to_string(cfg.image_size);
   std::vector<bench::BenchRecord> records;
-  const std::string dtype = math::dtype_name(model.serving_precision());
+  const std::string dtype = model.serving_precision();
 
   // (a) Batch-1 serial baseline: the throughput ceiling with no batching.
   const std::span<const data::Sample> one(&samples[0], 1);
@@ -298,15 +253,13 @@ int main() {
   run_burst(false);  // warm: slot images, scratch, arena, static metrics
   run_burst(false);
   const std::uint64_t completed_before = server.stats().completed;
-  g_alloc_events.store(0);
-  g_count_allocs.store(true);
+  bench::start_alloc_count();
   run_burst(true);  // claims deferred: the window sees no Response copies
   quiesce(completed_before + burst);
-  g_count_allocs.store(false);
+  const std::size_t dispatch_allocs = bench::stop_alloc_count();
   for (const auto& t : burst_tickets) (void)server.wait(t);
   armed_exporter.stop();
   obs::set_trace_enabled(false);
-  const std::size_t dispatch_allocs = g_alloc_events.load();
   std::printf("  dispatch-loop allocations over a warm %zu-request burst "
               "(telemetry armed): %zu\n\n",
               burst, dispatch_allocs);

@@ -32,7 +32,6 @@
 #include "data/sample.hpp"
 #include "litho/simulator.hpp"
 #include "math/gemm.hpp"
-#include "math/half.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/exec_context.hpp"
@@ -223,7 +222,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(learned.contacts) /
                     std::max(learned.seconds, 1e-9),
                 learned.contacts, learned.printed, learned.seconds,
-                math::dtype_name(model.serving_precision()));
+                model.serving_precision());
   }
   std::printf("ring residency: %zu slots, %.1f KiB peak buffer capacity\n",
               pipe.stats().ring_slots,

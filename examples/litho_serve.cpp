@@ -32,7 +32,6 @@
 #include "data/sample.hpp"
 #include "image/ops.hpp"
 #include "math/gemm.hpp"
-#include "math/half.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
   serve::Server server(model, sc);
   std::printf("serving %s model (%s weights): B=%zu, T=%zu us, queue=%zu\n",
               cli.get("config").c_str(),
-              math::dtype_name(model.serving_precision()), sc.max_batch,
+              model.serving_precision(), sc.max_batch,
               sc.max_wait_us, sc.queue_capacity);
 
   // SLO watchdog: fed by the windowed exporter (--export if given, else a

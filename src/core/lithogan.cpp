@@ -6,7 +6,6 @@
 #include "core/networks.hpp"
 #include "data/batch.hpp"
 #include "data/render.hpp"
-#include "eval/precision_gate.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -103,69 +102,25 @@ void LithoGan::ensure_plans() {
   if (plans_built_) return;
   const std::vector<std::size_t> mask_shape{config_.mask_channels, config_.image_size,
                                             config_.image_size};
-  const auto build_gen = [&](nn::InferencePlan& plan,
-                             nn::InferencePlan::Precision precision) {
-    plan = nn::InferencePlan();
-    plan.set_precision(precision);
-    if (arch_ == GeneratorArch::kEncoderDecoder) {
-      plan.compile(static_cast<nn::Sequential&>(cgan_->generator()), mask_shape);
-    } else {
-      static_cast<UNetGenerator&>(cgan_->generator()).build_plan(plan, mask_shape);
-    }
-    plan.set_exec_context(config_.exec);
-  };
-
   gen_plan_ = nn::InferencePlan();
-  // A fresh plan's precision is the construction-time default, which honors
-  // the LITHOGAN_INFER_DTYPE env override.
-  nn::InferencePlan::Precision precision = gen_plan_.precision();
-  build_gen(gen_plan_, precision);
-
-  if (precision != math::Dtype::kF32) {
-    // Accuracy gate, consulted once per plan build: probe the reduced plan
-    // against an f32 reference on deterministic random masks and fall back
-    // to f32 when the deltas exceed the dtype's tolerance. Serving then
-    // never ships a precision the gate has not accepted.
-    util::Rng probe_rng(config_.seed ^ 0x9e3779b97f4a7c15ULL);
-    nn::Tensor probe({2, config_.mask_channels, config_.image_size, config_.image_size});
-    for (float& v : probe.data()) {
-      v = static_cast<float>(probe_rng.uniform(-1.0, 1.0));
-    }
-    const nn::Tensor reduced = gen_plan_.infer(probe);  // copy: ref dies on re-infer
-    nn::InferencePlan reference;
-    build_gen(reference, math::Dtype::kF32);
-    const eval::GateResult result = eval::compare_outputs(reference.infer(probe), reduced);
-    const eval::GateTolerance tol = eval::gate_tolerance(precision);
-    if (result.pass(tol)) {
-      static obs::Counter& passes =
-          obs::Registry::global().counter("infer.precision_gate.pass");
-      passes.add();
-    } else {
-      static obs::Counter& fails =
-          obs::Registry::global().counter("infer.precision_gate.fail");
-      fails.add();
-      util::log_warn() << "reduced-precision plan failed the accuracy gate "
-                       << "(iou=" << result.mean_iou << " center=" << result.max_center
-                       << " abs=" << result.max_abs << "); serving f32";
-      precision = math::Dtype::kF32;
-      build_gen(gen_plan_, precision);
-    }
+  if (arch_ == GeneratorArch::kEncoderDecoder) {
+    gen_plan_.compile(static_cast<nn::Sequential&>(cgan_->generator()), mask_shape);
+  } else {
+    static_cast<UNetGenerator&>(cgan_->generator()).build_plan(gen_plan_, mask_shape);
   }
+  gen_plan_.set_exec_context(config_.exec);
 
   if (mode_ == Mode::kDualLearning) {
     cnn_plan_ = nn::InferencePlan();
-    // The center CNN follows the gated generator precision: if the gate
-    // rejected the reduced dtype, both plans serve f32.
-    cnn_plan_.set_precision(precision);
     cnn_plan_.compile(center_->network(), mask_shape);
     cnn_plan_.set_exec_context(config_.exec);
   }
   plans_built_ = true;
 }
 
-nn::InferencePlan::Precision LithoGan::serving_precision() {
+const char* LithoGan::serving_precision() {
   ensure_plans();
-  return gen_plan_.precision();
+  return "f32";
 }
 
 std::vector<image::Image> LithoGan::predict_batch(

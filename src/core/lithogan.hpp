@@ -76,11 +76,10 @@ class LithoGan {
                           std::span<image::Image* const> outputs,
                           PredictScratch& scratch);
 
-  /// Precision the serving plans actually run at: the LITHOGAN_INFER_DTYPE
-  /// request after the load-time accuracy gate (a reduced-precision plan
-  /// that fails eval::gate_tolerance falls back to f32). Compiles plans on
-  /// first call.
-  nn::InferencePlan::Precision serving_precision();
+  /// Compiles the serving plans (if not built yet) and returns the precision
+  /// they run at, which is always "f32". Servers and benches call it during
+  /// setup so plan compilation is paid before the first request.
+  const char* serving_precision();
 
   /// The raw generator output for a (1, C, H, W) mask tensor in [-1, 1],
   /// without the center adjustment.

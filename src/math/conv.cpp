@@ -2,21 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <numbers>
-#include <sstream>
 #include <string>
 #include <tuple>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/workspace.hpp"
@@ -24,8 +19,7 @@
 namespace lithogan::math {
 
 // ---------------------------------------------------------------------------
-// Shape helpers and im2col / col2im lowering primitives (the shared call
-// sites the nn layer forwards to — see nn/im2col.hpp).
+// Shape helpers and im2col / col2im lowering primitives
 // ---------------------------------------------------------------------------
 
 std::size_t conv_out_size(std::size_t in, std::size_t kernel, std::size_t stride,
@@ -82,15 +76,9 @@ void im2col(const float* src, std::size_t channels, std::size_t height,
   }
 }
 
-namespace {
-
-/// im2col_packed body, templated on the element type so the int8 inference
-/// path can emit quantized panels with the identical walk (T = float or
-/// std::int8_t; out-of-bounds taps read as T(0) either way).
-template <typename T>
-void im2col_packed_t(const T* src, std::size_t channels, std::size_t height,
-                     std::size_t width, std::size_t kernel, std::size_t stride,
-                     std::size_t pad, T* packed) {
+void im2col_packed(const float* src, std::size_t channels, std::size_t height,
+                   std::size_t width, std::size_t kernel, std::size_t stride,
+                   std::size_t pad, float* packed) {
   const std::size_t out_h = conv_out_size(height, kernel, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel, stride, pad);
   const std::size_t plane = height * width;
@@ -102,8 +90,8 @@ void im2col_packed_t(const T* src, std::size_t channels, std::size_t height,
   // Ragged last tile: zero it once up front, then the main loops overwrite
   // the live columns and the padding columns stay zero.
   if (tiles * nr != cols) {
-    T* tail = packed + (tiles - 1) * rows * nr;
-    std::fill(tail, tail + rows * nr, T(0));
+    float* tail = packed + (tiles - 1) * rows * nr;
+    std::fill(tail, tail + rows * nr, 0.0f);
   }
 
   // Column q of the logical matrix lands in tile q / nr at lane q % nr;
@@ -113,19 +101,19 @@ void im2col_packed_t(const T* src, std::size_t channels, std::size_t height,
   const std::size_t tile_stride = rows * nr;
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
-    const T* src_plane = src + c * plane;
+    const float* src_plane = src + c * plane;
     for (std::size_t ky = 0; ky < kernel; ++ky) {
       for (std::size_t kx = 0; kx < kernel; ++kx, ++row) {
-        T* dst = packed + row * nr;  // lane 0 of tile 0 for this row
+        float* dst = packed + row * nr;  // lane 0 of tile 0 for this row
         std::size_t lane = 0;
         for (std::size_t oy = 0; oy < out_h; ++oy) {
           const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
                                     static_cast<std::ptrdiff_t>(pad);
           const bool iy_ok = iy >= 0 && iy < static_cast<std::ptrdiff_t>(height);
-          const T* src_row =
+          const float* src_row =
               iy_ok ? src_plane + static_cast<std::size_t>(iy) * width : nullptr;
           for (std::size_t ox = 0; ox < out_w; ++ox) {
-            T value = 0;
+            float value = 0.0f;
             if (iy_ok) {
               const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
                                         static_cast<std::ptrdiff_t>(pad);
@@ -143,14 +131,6 @@ void im2col_packed_t(const T* src, std::size_t channels, std::size_t height,
       }
     }
   }
-}
-
-}  // namespace
-
-void im2col_packed(const float* src, std::size_t channels, std::size_t height,
-                   std::size_t width, std::size_t kernel, std::size_t stride,
-                   std::size_t pad, float* packed) {
-  im2col_packed_t<float>(src, channels, height, width, kernel, stride, pad, packed);
 }
 
 void col2im(const float* col, std::size_t channels, std::size_t height,
@@ -250,7 +230,7 @@ GeomKey geom_key(const ConvKey& k) {
 }
 
 /// Full cache key: geometry plus packing regime, thread budget and the
-/// forced-algorithm slot (-1 = cost-model / env / autotune selection).
+/// forced-algorithm slot (-1 = cost-model / env selection).
 using CacheKey = std::tuple<GeomKey, bool, std::size_t, int>;
 
 std::mutex& cache_mutex() {
@@ -260,14 +240,6 @@ std::mutex& cache_mutex() {
 
 std::map<CacheKey, std::shared_ptr<const ConvPlan>>& plan_map() {
   static std::map<CacheKey, std::shared_ptr<const ConvPlan>> m;
-  return m;
-}
-
-/// Autotune winners, memoized per GEOMETRY (not per full key) so the
-/// prepacked/thread variants of one layer still agree on the algorithm
-/// even when selection came from a timed measurement.
-std::map<GeomKey, ConvAlgo>& tuned_map() {
-  static std::map<GeomKey, ConvAlgo> m;
   return m;
 }
 
@@ -457,123 +429,14 @@ std::shared_ptr<ConvPlan> make_plan(const ConvKey& key) {
   return plan;
 }
 
-// --- autotune + disk persistence -------------------------------------------
-
-std::string persist_geom_string(const ConvKey& k) {
-  std::ostringstream os;
-  os << simd_level() << ' ' << static_cast<int>(k.dir) << ' ' << k.in_c << ' '
-     << k.in_h << ' ' << k.in_w << ' ' << k.out_c << ' ' << k.kernel << ' '
-     << k.stride << ' ' << k.pad << ' ' << k.output_pad;
-  return os.str();
-}
-
-/// Winners persisted by earlier processes (LITHOGAN_CONV_CACHE), loaded
-/// once. Lines are "<geom string> <algo name>"; unparsable lines are
-/// skipped so a stale or hand-edited file degrades to re-measuring.
-std::map<std::string, ConvAlgo>& persisted_map() {
-  static std::map<std::string, ConvAlgo> m = [] {
-    std::map<std::string, ConvAlgo> loaded;
-    const char* path = std::getenv("LITHOGAN_CONV_CACHE");
-    if (path == nullptr) return loaded;
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const std::size_t last_space = line.rfind(' ');
-      if (last_space == std::string::npos) continue;
-      ConvAlgo algo;
-      if (!parse_algo(line.substr(last_space + 1).c_str(), algo)) continue;
-      loaded.emplace(line.substr(0, last_space), algo);
-    }
-    return loaded;
-  }();
-  return m;
-}
-
-void persist_winner(const ConvKey& key, ConvAlgo algo) {
-  const char* path = std::getenv("LITHOGAN_CONV_CACHE");
-  if (path == nullptr) return;
-  // Best-effort append; an unwritable path just loses persistence.
-  std::ofstream out(path, std::ios::app);
-  if (out) out << persist_geom_string(key) << ' ' << conv_algo_name(algo) << '\n';
-  persisted_map().emplace(persist_geom_string(key), algo);
-}
-
-void conv2d_forward_nolock(const ConvPlan& plan, std::size_t batch, const float* src,
-                           const float* weights, const PackedConvWeights* packed,
-                           const Epilogue& epi, float* dst, util::ExecContext* exec,
-                           util::Workspace& serial_ws);
-
-/// Times each candidate on synthetic data (serial, best of 3) and returns
-/// the fastest. Only forward plans are tuned — backward candidates are a
-/// strict-subset choice the model already gets right.
-ConvAlgo autotune_pick(const ConvKey& key, const std::vector<ConvAlgo>& candidates) {
-  const obs::Span span("conv.autotune");
-  ConvKey geom = key;
-  geom.prepacked = false;
-  geom.threads = 1;
-  std::vector<float> x(key.in_c * key.in_h * key.in_w);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = static_cast<float>((i * 2654435761u >> 8) & 0x3FF) / 1024.0f - 0.5f;
-  }
-  std::vector<float> w(key.out_c * key.in_c * key.kernel * key.kernel);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    w[i] = static_cast<float>((i * 2246822519u >> 8) & 0x3FF) / 1024.0f - 0.5f;
-  }
-  ConvAlgo best = candidates.front();
-  double best_sec = std::numeric_limits<double>::infinity();
-  for (const ConvAlgo algo : candidates) {
-    auto plan = make_plan(geom);
-    plan->algo = algo;
-    std::vector<float> y(key.out_c * plan->out_h * plan->out_w);
-    util::Workspace ws;
-    conv2d_forward_nolock(*plan, 1, x.data(), w.data(), nullptr, {}, y.data(),
-                          nullptr, ws);  // warm-up (scratch growth, plan build)
-    double sec = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      conv2d_forward_nolock(*plan, 1, x.data(), w.data(), nullptr, {}, y.data(),
-                            nullptr, ws);
-      const auto t1 = std::chrono::steady_clock::now();
-      sec = std::min(sec, std::chrono::duration<double>(t1 - t0).count());
-    }
-    if (sec < best_sec) {
-      best = algo;
-      best_sec = sec;
-    }
-  }
-  return best;
-}
-
-/// Resolves the algorithm for a default (non-forced) plan: env override,
-/// then (opt-in) autotune with process memo + disk persistence, then the
+/// Resolves the algorithm for a default (non-forced) plan: the
+/// LITHOGAN_CONV_ALGO override when it names a candidate, else the
 /// deterministic cost model.
-ConvAlgo choose_algo(ConvPlan& plan, const std::vector<ConvAlgo>& candidates) {
-  const ConvKey& key = plan.key;
+ConvAlgo choose_algo(const ConvPlan& plan, const std::vector<ConvAlgo>& candidates) {
   ConvAlgo forced;
   if (parse_algo(std::getenv("LITHOGAN_CONV_ALGO"), forced) &&
       std::find(candidates.begin(), candidates.end(), forced) != candidates.end()) {
     return forced;
-  }
-  const char* tune = std::getenv("LITHOGAN_CONV_AUTOTUNE");
-  if (tune != nullptr && std::string(tune) == "1" &&
-      key.dir == ConvDir::kForward && candidates.size() > 1) {
-    const GeomKey gk = geom_key(key);
-    const auto memo = tuned_map().find(gk);
-    if (memo != tuned_map().end()) {
-      plan.autotuned = true;
-      return memo->second;
-    }
-    const auto disk = persisted_map().find(persist_geom_string(key));
-    if (disk != persisted_map().end()) {
-      tuned_map().emplace(gk, disk->second);
-      plan.autotuned = true;
-      return disk->second;
-    }
-    const ConvAlgo winner = autotune_pick(key, candidates);
-    tuned_map().emplace(gk, winner);
-    persist_winner(key, winner);
-    plan.autotuned = true;
-    return winner;
   }
   return model_choice(plan, candidates);
 }
@@ -732,47 +595,7 @@ PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights) 
 }
 
 std::size_t PackedConvWeights::weight_bytes() const {
-  return panels.size() * sizeof(float) + spectra.size() * sizeof(Complex) +
-         panels16.size() * sizeof(std::uint16_t) + panels8.size() +
-         scales.size() * sizeof(float);
-}
-
-PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights,
-                                    Dtype dtype) {
-  const ConvKey& k = plan.key;
-  // Reduced storage only where a reduced execution route exists; everything
-  // else keeps fp32 and records it (plan_dump shows requested vs effective).
-  Dtype eff = dtype;
-  if (k.dir == ConvDir::kDeconvForward) {
-    if (dtype == Dtype::kI8) eff = Dtype::kF32;  // no int8 deconv gather path
-  } else {
-    const bool gemm_route =
-        plan.algo == ConvAlgo::kIm2col ||
-        (plan.algo == ConvAlgo::kDirect && k.kernel == 1 && k.pad == 0);
-    if (!gemm_route) eff = Dtype::kF32;  // tap-loop direct and FFT read fp32
-  }
-  if (eff == Dtype::kF32) return pack_conv_weights(plan, weights);
-
-  PackedConvWeights out;
-  out.dtype = eff;
-  if (k.dir == ConvDir::kDeconvForward) {
-    out.panels16.resize(packed_a_size(plan.rows, k.in_c));
-    pack_a_t_h(plan.rows, k.in_c, weights, eff, out.panels16.data());
-    return out;
-  }
-  LITHOGAN_REQUIRE(k.dir == ConvDir::kForward,
-                   "pack_conv_weights: only forward plans are prepacked");
-  // For the GEMM-lowered routes the A operand is (out_c, taps); the direct
-  // 1x1 route has taps == in_c == plan.rows, so one shape covers both.
-  if (eff == Dtype::kI8) {
-    out.panels8.resize(packed_a_size(k.out_c, plan.rows));
-    out.scales.resize(k.out_c);
-    pack_a_s8(k.out_c, plan.rows, weights, out.panels8.data(), out.scales.data());
-  } else {
-    out.panels16.resize(packed_a_size(k.out_c, plan.rows));
-    pack_a_h(k.out_c, plan.rows, weights, eff, out.panels16.data());
-  }
-  return out;
+  return panels.size() * sizeof(float) + spectra.size() * sizeof(Complex);
 }
 
 // ---------------------------------------------------------------------------
@@ -801,98 +624,6 @@ void run_im2col_forward(const ConvPlan& plan, const float* src, const float* wei
       gemm_packed(k.out_c, plan.cols, plan.rows, 1.0f, weights, col.data(), 0.0f,
                   dst + n * out_elems, epi, inner);
     }
-  }
-}
-
-/// fp16/bf16 forward for the GEMM-lowered routes (im2col and direct 1x1):
-/// the packed 16-bit weight panels go straight into the widening GEMM
-/// kernels, everything else (column emission, epilogue, parallel shape)
-/// matches the fp32 runners.
-void run_reduced16_forward(const ConvPlan& plan, const float* src,
-                           const PackedConvWeights* packed, const Epilogue& epi,
-                           float* dst, std::size_t n0, std::size_t n1,
-                           util::ExecContext* inner, util::Workspace& ws) {
-  const ConvKey& k = plan.key;
-  const std::size_t in_elems = k.in_c * k.in_h * k.in_w;
-  const std::size_t out_elems = k.out_c * plan.cols;
-  if (plan.algo == ConvAlgo::kDirect) {  // 1x1/s1/p0: the input IS the columns
-    for (std::size_t n = n0; n < n1; ++n) {
-      gemm_prepacked_h(k.out_c, plan.cols, k.in_c, 1.0f, packed->panels16.data(),
-                       packed->dtype, src + n * in_elems, 0.0f,
-                       dst + n * out_elems, epi, inner);
-    }
-    return;
-  }
-  auto& col = ws.floats(kColSlot);
-  col.resize(packed_b_size(plan.cols, plan.rows));
-  for (std::size_t n = n0; n < n1; ++n) {
-    im2col_packed(src + n * in_elems, k.in_c, k.in_h, k.in_w, k.kernel, k.stride,
-                  k.pad, col.data());
-    gemm_prepacked_pb_h(k.out_c, plan.cols, plan.rows, 1.0f,
-                        packed->panels16.data(), packed->dtype, col.data(), 0.0f,
-                        dst + n * out_elems, epi, inner);
-  }
-}
-
-/// Quantizes one activation sample to int8 with a symmetric absmax scale;
-/// returns the dequant scale (absmax / 127, or 0 for an all-zero sample).
-/// Per sample — never per batch — so outputs stay independent of batch
-/// composition. Counts one quant.absmax_pass.
-float quantize_sample_s8(const float* x, std::size_t count, std::int8_t* q) {
-  static obs::Counter& passes =
-      obs::Registry::global().counter("quant.absmax_pass");
-  static obs::Counter& sat = obs::Registry::global().counter("quant.saturated");
-  float absmax = 0.0f;
-  for (std::size_t i = 0; i < count; ++i) {
-    absmax = std::max(absmax, std::fabs(x[i]));
-  }
-  const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-  std::size_t saturated = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    long v = std::lrintf(x[i] * inv);
-    if (v > 127) {
-      v = 127;
-      ++saturated;
-    } else if (v < -127) {
-      v = -127;
-      ++saturated;
-    }
-    q[i] = static_cast<std::int8_t>(v);
-  }
-  passes.add(1);
-  if (saturated != 0) sat.add(saturated);
-  return absmax > 0.0f ? absmax / 127.0f : 0.0f;
-}
-
-/// int8 forward: per-sample absmax activation quantization into workspace
-/// scratch (padding taps contribute zero, so the sample absmax bounds every
-/// im2col entry), quantized column panels via the shared im2col walk, then
-/// the int32-accumulate GEMM with fused dequant+bias+activation. Covers the
-/// same GEMM-lowered routes as run_reduced16_forward (direct 1x1 degenerates
-/// to an identity im2col).
-void run_s8_forward(const ConvPlan& plan, const float* src,
-                    const PackedConvWeights* packed, const Epilogue& epi,
-                    float* dst, std::size_t n0, std::size_t n1,
-                    util::ExecContext* inner, util::Workspace& ws) {
-  const ConvKey& k = plan.key;
-  const std::size_t in_elems = k.in_c * k.in_h * k.in_w;
-  const std::size_t out_elems = k.out_c * plan.cols;
-  // int8 scratch lives in reinterpreted float slots (capacity-retaining, no
-  // per-call heap): kColSlot holds the packed column panels, kGradColSlot —
-  // free in forward — the quantized input sample.
-  auto& colf = ws.floats(kColSlot);
-  auto& qf = ws.floats(kGradColSlot);
-  colf.resize((packed_b_size(plan.cols, plan.rows) + 3) / 4);
-  qf.resize((in_elems + 3) / 4);
-  std::int8_t* col8 = reinterpret_cast<std::int8_t*>(colf.data());
-  std::int8_t* q8 = reinterpret_cast<std::int8_t*>(qf.data());
-  for (std::size_t n = n0; n < n1; ++n) {
-    const float xscale = quantize_sample_s8(src + n * in_elems, in_elems, q8);
-    im2col_packed_t<std::int8_t>(q8, k.in_c, k.in_h, k.in_w, k.kernel, k.stride,
-                                 k.pad, col8);
-    gemm_s8(k.out_c, plan.cols, plan.rows, packed->panels8.data(),
-            packed->scales.data(), col8, nullptr, xscale, dst + n * out_elems, epi,
-            inner);
   }
 }
 
@@ -1029,12 +760,12 @@ void run_fft_forward(const ConvPlan& plan, const float* src, const Complex* spec
   }
 }
 
-/// Autotune needs the forward path before the public entry (which is below
-/// the cache section); this shim is the shared body.
-void conv2d_forward_dispatch(const ConvPlan& plan, std::size_t batch, const float* src,
-                             const float* weights, const PackedConvWeights* packed,
-                             const Epilogue& epi, float* dst, util::ExecContext* exec,
-                             util::Workspace& serial_ws) {
+}  // namespace
+
+void conv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
+                    const float* weights, const PackedConvWeights* packed,
+                    const Epilogue& epi, float* dst, util::ExecContext* exec,
+                    util::Workspace& serial_ws) {
   LITHOGAN_REQUIRE(plan.key.dir == ConvDir::kForward,
                    "conv2d_forward: plan direction mismatch");
   LITHOGAN_REQUIRE(epi.bias == nullptr || epi.bias_per_row,
@@ -1058,16 +789,7 @@ void conv2d_forward_dispatch(const ConvPlan& plan, std::size_t batch, const floa
 
   const bool batch_parallel = exec != nullptr && batch > 1;
   util::ExecContext* inner = batch_parallel ? nullptr : exec;
-  const bool reduced = packed != nullptr && packed->dtype != Dtype::kF32;
   auto sample = [&](std::size_t n0, std::size_t n1, util::Workspace& ws) {
-    if (reduced) {
-      if (packed->dtype == Dtype::kI8) {
-        run_s8_forward(plan, src, packed, epi, dst, n0, n1, inner, ws);
-      } else {
-        run_reduced16_forward(plan, src, packed, epi, dst, n0, n1, inner, ws);
-      }
-      return;
-    }
     switch (plan.algo) {
       case ConvAlgo::kIm2col:
         run_im2col_forward(plan, src, weights, packed, epi, dst, n0, n1, inner, ws);
@@ -1082,24 +804,6 @@ void conv2d_forward_dispatch(const ConvPlan& plan, std::size_t batch, const floa
   };
   util::parallel_for(batch_parallel ? exec : nullptr, serial_ws, 0, batch, 1,
                      batch * 2 * k.out_c * plan.rows * plan.cols, sample);
-}
-
-void conv2d_forward_nolock(const ConvPlan& plan, std::size_t batch, const float* src,
-                           const float* weights, const PackedConvWeights* packed,
-                           const Epilogue& epi, float* dst, util::ExecContext* exec,
-                           util::Workspace& serial_ws) {
-  conv2d_forward_dispatch(plan, batch, src, weights, packed, epi, dst, exec,
-                          serial_ws);
-}
-
-}  // namespace
-
-void conv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
-                    const float* weights, const PackedConvWeights* packed,
-                    const Epilogue& epi, float* dst, util::ExecContext* exec,
-                    util::Workspace& serial_ws) {
-  conv2d_forward_dispatch(plan, batch, src, weights, packed, epi, dst, exec,
-                          serial_ws);
 }
 
 void conv2d_backward(const ConvPlan& data_plan, const ConvPlan& weight_plan,
@@ -1194,11 +898,7 @@ void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
       const float* x = src + n * in_elems;
       float* y = dst + n * out_elems;
       // Col = W^T * X...
-      if (packed != nullptr && packed->dtype != Dtype::kF32) {
-        // 16-bit panels only — int8 deconv falls back to fp32 at pack time.
-        gemm_prepacked_h(rows, cols, k.in_c, 1.0f, packed->panels16.data(),
-                         packed->dtype, x, 0.0f, col.data(), {}, inner);
-      } else if (packed != nullptr) {
+      if (packed != nullptr) {
         gemm_prepacked(rows, cols, k.in_c, 1.0f, packed->panels.data(), x, 0.0f,
                        col.data(), {}, inner);
       } else {

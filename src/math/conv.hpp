@@ -29,12 +29,9 @@
 //
 // Knobs (read when a plan is first built, i.e. on a cache miss):
 //   LITHOGAN_CONV_ALGO=im2col|direct|fft  force an algorithm for every NCHW
-//       conv plan it can execute (keys it cannot fall back to the model);
-//   LITHOGAN_CONV_AUTOTUNE=1  replace the cost model with a one-shot timed
-//       measurement of each candidate (forward plans); winners are memoized
-//       in the plan cache for the process lifetime;
-//   LITHOGAN_CONV_CACHE=<path>  persist autotune winners to a text file
-//       keyed by math::simd_level() and reuse them in later processes.
+//       conv plan it can execute (keys it cannot fall back to the model).
+//       Tests and the conv smoke benches use it to drive each algorithm
+//       through the full stack.
 //
 // Observability: conv.plan_cache.{hit,miss} count plan lookups (mirroring
 // fft.plan_cache.*), conv.algo.{im2col,direct,fft} count engine executions
@@ -58,8 +55,8 @@ namespace lithogan::math {
 
 enum class ConvAlgo : std::uint8_t { kIm2col = 0, kDirect = 1, kFft = 2 };
 
-/// "im2col", "direct" or "fft" — stable strings used by LITHOGAN_CONV_ALGO,
-/// the autotune persistence file and plan dumps.
+/// "im2col", "direct" or "fft" — stable strings used by LITHOGAN_CONV_ALGO
+/// and plan dumps.
 const char* conv_algo_name(ConvAlgo algo);
 
 /// Which linear map of the conv layer a plan executes. Backward-data and
@@ -91,26 +88,17 @@ struct ConvKey {
 /// Pre-packed constant weights in the layout `plan->algo` consumes:
 /// micro-kernel A panels for kIm2col / kDirect (a raw row-major copy for
 /// the tap-loop direct variant), per-(oc, ic) kernel spectra for kFft.
-/// Reduced-precision plans fill panels16 (fp16/bf16 lanes, same layout) or
-/// panels8 + per-output-channel scales instead; `dtype` records which
-/// storage is live — kF32 when the requested precision fell back (tap-loop
-/// direct, FFT, int8 deconv have no reduced execution route).
 struct PackedConvWeights {
   std::vector<float> panels;
   std::vector<Complex> spectra;
-  std::vector<std::uint16_t> panels16;
-  std::vector<std::int8_t> panels8;
-  std::vector<float> scales;
-  Dtype dtype = Dtype::kF32;
 
-  /// Bytes held by whichever storage is live (panel data + scales).
+  /// Bytes held by the panels and spectra.
   std::size_t weight_bytes() const;
 };
 
 struct ConvPlan {
   ConvKey key;
   ConvAlgo algo = ConvAlgo::kIm2col;
-  bool autotuned = false;  ///< algo came from a timed measurement, not the model
 
   // Derived geometry: out_h/out_w is the spatial extent of the layer's
   // forward output (conv output for conv directions, deconv output for
@@ -137,8 +125,7 @@ struct ConvPlan {
 };
 
 /// Plan from the process-wide cache. Deterministic per key: the same key
-/// yields the same algorithm on every run (unless LITHOGAN_CONV_AUTOTUNE
-/// replaced the model when the plan was first built).
+/// yields the same algorithm on every run.
 std::shared_ptr<const ConvPlan> conv_plan(const ConvKey& key);
 
 /// Plan with the algorithm forced, bypassing the cost model and the env
@@ -155,12 +142,6 @@ std::vector<ConvAlgo> conv_algo_candidates(const ConvKey& key);
 /// Packs `weights` — (out_c, in_c*k*k) row-major for conv plans,
 /// (in_c, out_c*k*k) for deconv plans — into the layout `plan.algo` wants.
 PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights);
-
-/// Same, with a requested storage dtype. Falls back to kF32 (recorded in the
-/// result's `dtype`) for steps with no reduced execution route: tap-loop
-/// direct and FFT plans for any reduced dtype, deconv plans for kI8.
-PackedConvWeights pack_conv_weights(const ConvPlan& plan, const float* weights,
-                                    Dtype dtype);
 
 // --- execution --------------------------------------------------------------
 //

@@ -458,156 +458,6 @@ const MicroKernel g_micro_kernel = select_micro_kernel();
 const MicroKernel g_micro_kernel_half = select_micro_kernel_half();
 const NarrowMicroKernel g_micro_kernel_narrow = select_micro_kernel_narrow();
 
-// --- 16-bit (fp16/bf16) thin-tile micro-kernels -----------------------------
-//
-// The serving-path GEMMs are bandwidth-bound on the weight panels, so the
-// narrow kernels get dedicated 16-bit variants that widen one packed A row
-// tile per K step in registers (VCVTPH2PS for fp16, a 16-bit shift for bf16)
-// and accumulate in fp32 — half the panel bytes streamed, identical FMA
-// chains. Wide/half tiles instead inflate the block's panels to fp32 scratch
-// once and reuse the fp32 kernels (see gemm_rows_prepacked_h); widening is
-// exact in both formats, so either route is bit-identical to the fp32 kernel
-// run on roundtripped weights.
-
-using NarrowMicroKernel16 = void (*)(std::size_t kc, const std::uint16_t* ap,
-                                     const float* bp, float* acc, std::size_t cols,
-                                     std::size_t ntiles);
-
-template <bool BF16>
-void micro_kernel_narrow16_portable_one(std::size_t kc, const std::uint16_t* ap,
-                                        const float* bp, float* acc,
-                                        std::size_t cols) {
-  float local[kMr * kNr] = {};
-  for (std::size_t p = 0; p < kc; ++p) {
-    const std::uint16_t* arow = ap + p * kMr;
-    const float* brow = bp + p * kNr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float av = BF16 ? bf16_to_float(arow[r]) : half_to_float(arow[r]);
-      float* dst = local + r * kNr;
-      for (std::size_t j = 0; j < cols; ++j) dst[j] += av * brow[j];
-    }
-  }
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < cols; ++j) acc[r * kNr + j] = local[r * kNr + j];
-  }
-}
-
-template <bool BF16>
-void micro_kernel_narrow16_portable(std::size_t kc, const std::uint16_t* ap,
-                                    const float* bp, float* acc, std::size_t cols,
-                                    std::size_t ntiles) {
-  for (std::size_t t = 0; t < ntiles; ++t) {
-    micro_kernel_narrow16_portable_one<BF16>(kc, ap + t * kc * kMr, bp,
-                                             acc + t * kMr * kNr, cols);
-  }
-}
-
-#if (defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))) && \
-    defined(__F16C__)
-/// Widens one packed 16-bit row tile (8 lanes; kMr < 8 overreads into the
-/// panel slack, extra lanes never stored — same convention as the fp32
-/// narrow kernels).
-template <bool BF16>
-inline __m256 load_a_tile16(const std::uint16_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  if constexpr (BF16) {
-    return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(raw), 16));
-  } else {
-    return _mm256_cvtph_ps(raw);
-  }
-}
-
-template <int COLS, int G, bool BF16>
-void micro_kernel_narrow16_simd_cg(std::size_t kc, const std::uint16_t* ap,
-                                   const float* bp, float* acc) {
-  const std::size_t tstride = kc * kMr;
-  __m256 accv[G][COLS];
-  for (int g = 0; g < G; ++g) {
-    for (int j = 0; j < COLS; ++j) accv[g][j] = _mm256_setzero_ps();
-  }
-  for (std::size_t p = 0; p < kc; ++p) {
-    __m256 bv[COLS];
-    for (int j = 0; j < COLS; ++j) bv[j] = _mm256_broadcast_ss(bp + p * kNr + j);
-    for (int g = 0; g < G; ++g) {
-      const __m256 av = load_a_tile16<BF16>(ap + g * tstride + p * kMr);
-      for (int j = 0; j < COLS; ++j) {
-        accv[g][j] = _mm256_fmadd_ps(av, bv[j], accv[g][j]);
-      }
-    }
-  }
-  float tmp[8];
-  for (int g = 0; g < G; ++g) {
-    for (int j = 0; j < COLS; ++j) {
-      _mm256_storeu_ps(tmp, accv[g][j]);
-      for (std::size_t r = 0; r < kMr; ++r) acc[g * kMr * kNr + r * kNr + j] = tmp[r];
-    }
-  }
-}
-
-/// Row-tile interleaving as in the fp32 narrow kernels; the conversion adds
-/// a port-5 op per tile per K step, so the conservative AVX2-style grouping
-/// (cap at 2 once COLS needs more than 2 accumulators) is used on every ISA.
-template <int COLS, bool BF16>
-void micro_kernel_narrow16_simd_c(std::size_t kc, const std::uint16_t* ap,
-                                  const float* bp, float* acc, std::size_t ntiles) {
-  const std::size_t tstride = kc * kMr;
-  std::size_t t = 0;
-  while (t < ntiles) {
-    const std::uint16_t* at = ap + t * tstride;
-    float* ac = acc + t * kMr * kNr;
-    const std::size_t g = ntiles - t;
-    if constexpr (COLS <= 2) {
-      if (g >= 4) {
-        micro_kernel_narrow16_simd_cg<COLS, 4, BF16>(kc, at, bp, ac);
-        t += 4;
-        continue;
-      }
-      if (g == 3) {
-        micro_kernel_narrow16_simd_cg<COLS, 3, BF16>(kc, at, bp, ac);
-        t += 3;
-        continue;
-      }
-    }
-    if (g >= 2) {
-      micro_kernel_narrow16_simd_cg<COLS, 2, BF16>(kc, at, bp, ac);
-      t += 2;
-    } else {
-      micro_kernel_narrow16_simd_cg<COLS, 1, BF16>(kc, at, bp, ac);
-      t += 1;
-    }
-  }
-}
-
-template <bool BF16>
-void micro_kernel_narrow16_simd(std::size_t kc, const std::uint16_t* ap,
-                                const float* bp, float* acc, std::size_t cols,
-                                std::size_t ntiles) {
-  switch (cols) {
-    case 1: micro_kernel_narrow16_simd_c<1, BF16>(kc, ap, bp, acc, ntiles); break;
-    case 2: micro_kernel_narrow16_simd_c<2, BF16>(kc, ap, bp, acc, ntiles); break;
-    case 3: micro_kernel_narrow16_simd_c<3, BF16>(kc, ap, bp, acc, ntiles); break;
-    default: micro_kernel_narrow16_simd_c<4, BF16>(kc, ap, bp, acc, ntiles); break;
-  }
-}
-#endif
-
-template <bool BF16>
-NarrowMicroKernel16 select_micro_kernel_narrow16() {
-#if (defined(__AVX512F__) || (defined(__AVX2__) && defined(__FMA__))) && \
-    defined(__F16C__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
-      __builtin_cpu_supports("f16c")) {
-    return micro_kernel_narrow16_simd<BF16>;
-  }
-#endif
-  return micro_kernel_narrow16_portable<BF16>;
-}
-
-const NarrowMicroKernel16 g_micro_kernel_narrow_f16 =
-    select_micro_kernel_narrow16<false>();
-const NarrowMicroKernel16 g_micro_kernel_narrow_bf16 =
-    select_micro_kernel_narrow16<true>();
-
 /// Mirrors select_micro_kernel()'s decision as a stable string for bench
 /// metadata (see math::simd_level()).
 const char* select_simd_level() {
@@ -785,124 +635,6 @@ void gemm_rows_prepacked(std::size_t r0, std::size_t r1, std::size_t m,
   }
 }
 
-/// gemm_rows_prepacked against a 16-bit packed A. Narrow tiles run the
-/// dedicated 16-bit kernels (in-register widening); wide/half tiles inflate
-/// the current block's row tiles into fp32 workspace scratch once and run
-/// the fp32 kernels unchanged. Either way every element's FMA chain matches
-/// the fp32 path on roundtripped weights bit for bit, at any thread count.
-void gemm_rows_prepacked_h(std::size_t r0, std::size_t r1, std::size_t m,
-                           std::size_t n, std::size_t k, float alpha,
-                           const std::uint16_t* packed_a, Dtype dtype,
-                           const float* packed_b, float beta, float* c,
-                           const Epilogue* epi, util::Workspace& ws) {
-  const NarrowMicroKernel16 narrow16 = dtype == Dtype::kBF16
-                                           ? g_micro_kernel_narrow_bf16
-                                           : g_micro_kernel_narrow_f16;
-  auto& apanel = ws.floats(kAPanelSlot);
-  const std::size_t rt = (m + kMr - 1) / kMr;
-  const std::size_t jtiles = (n + kNr - 1) / kNr;
-  const bool any_wide = n > kNarrowCols;
-  for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::size_t kc = std::min(kBlockK, k - p0);
-    const bool first_block = p0 == 0;
-    const bool last_block = p0 + kc == k;
-    const std::uint16_t* ablock = packed_a + p0 * rt * kMr;
-    for (std::size_t i0 = r0; i0 < r1; i0 += kBlockM) {
-      const std::size_t mc = std::min(kBlockM, r1 - i0);
-      const std::size_t itiles = (mc + kMr - 1) / kMr;
-      const std::size_t t0 = i0 / kMr;
-      const std::uint16_t* atiles = ablock + t0 * kc * kMr;
-      if (any_wide) {
-        apanel.resize(itiles * kc * kMr);
-        to_float_n(atiles, itiles * kc * kMr, dtype, apanel.data());
-      }
-      for (std::size_t jt = 0; jt < jtiles; ++jt) {
-        const float* bp = packed_b + jt * k * kNr + p0 * kNr;
-        const std::size_t cols = std::min(kNr, n - jt * kNr);
-        if (cols <= kNarrowCols) {
-          float acc[((kBlockM + kMr - 1) / kMr) * kMr * kNr];
-          narrow16(kc, atiles, bp, acc, cols, itiles);
-          for (std::size_t t = 0; t < itiles; ++t) {
-            const std::size_t row = i0 + t * kMr;
-            write_tile(acc + t * kMr * kNr, std::min(kMr, r1 - row), cols, alpha,
-                       beta, first_block, last_block, c + row * n + jt * kNr, n, epi,
-                       row, jt * kNr);
-          }
-          continue;
-        }
-        for (std::size_t t = 0; t < itiles; ++t) {
-          float acc[kMr * kNr];
-          const float* ap = apanel.data() + t * kc * kMr;
-          if (cols <= kNr / 2) {
-            g_micro_kernel_half(kc, ap, bp, acc);
-          } else {
-            g_micro_kernel(kc, ap, bp, acc);
-          }
-          const std::size_t row = i0 + t * kMr;
-          write_tile(acc, std::min(kMr, r1 - row), cols, alpha, beta, first_block,
-                     last_block, c + row * n + jt * kNr, n, epi, row, jt * kNr);
-        }
-      }
-    }
-  }
-}
-
-// --- int8 quantized path -----------------------------------------------------
-//
-// The int8 layouts drop the K blocking (panels are a quarter the fp32 size,
-// so an L2-blocked walk buys nothing): packed A row tile t is the contiguous
-// k * kMr range at t * k * kMr p-major, packed B keeps the NR column tiles.
-// Accumulation is int32 — exact, so the result is invariant to any row split
-// by construction — and the dequant (a_scale * b_scale * acc) feeds the
-// standard Epilogue formulas at writeback.
-
-void count_quant_rows(std::size_t rows, std::size_t saturated) {
-  static obs::Counter& passes =
-      obs::Registry::global().counter("quant.absmax_pass");
-  static obs::Counter& sat = obs::Registry::global().counter("quant.saturated");
-  passes.add(rows);
-  if (saturated != 0) sat.add(saturated);
-}
-
-void gemm_s8_rows(std::size_t r0, std::size_t r1, std::size_t n, std::size_t k,
-                  const std::int8_t* packed_a, const float* a_scales,
-                  const std::int8_t* packed_b, const float* b_scales,
-                  float b_scale, float* c, const Epilogue* epi) {
-  const std::size_t jtiles = (n + kNr - 1) / kNr;
-  for (std::size_t i0 = r0; i0 < r1; i0 += kMr) {
-    const std::int8_t* at = packed_a + (i0 / kMr) * k * kMr;
-    const std::size_t rows = std::min(kMr, r1 - i0);
-    for (std::size_t jt = 0; jt < jtiles; ++jt) {
-      const std::int8_t* bt = packed_b + jt * k * kNr;
-      const std::size_t cols = std::min(kNr, n - jt * kNr);
-      std::int32_t acc[kMr * kNr] = {};
-      for (std::size_t p = 0; p < k; ++p) {
-        const std::int8_t* ar = at + p * kMr;
-        const std::int8_t* br = bt + p * kNr;
-        for (std::size_t r = 0; r < kMr; ++r) {
-          const std::int32_t av = ar[r];
-          std::int32_t* dst = acc + r * kNr;
-          for (std::size_t j = 0; j < kNr; ++j) dst[j] += av * br[j];
-        }
-      }
-      for (std::size_t r = 0; r < rows; ++r) {
-        const std::size_t row = i0 + r;
-        const float sa = a_scales[row];
-        float* crow = c + row * n + jt * kNr;
-        const std::int32_t* arow = acc + r * kNr;
-        for (std::size_t j = 0; j < cols; ++j) {
-          const float sb = b_scales != nullptr ? b_scales[jt * kNr + j] : b_scale;
-          float v = static_cast<float>(arow[j]) * (sa * sb);
-          if (epi != nullptr && epi->bias != nullptr) {
-            v += epi->bias_per_row ? epi->bias[row] : epi->bias[jt * kNr + j];
-          }
-          crow[j] = epi != nullptr ? apply_act(v, epi->act, epi->slope) : v;
-        }
-      }
-    }
-  }
-}
-
 template <bool TransA>
 void gemm_driver(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, std::size_t lda, const float* packed_b, float beta,
@@ -930,23 +662,6 @@ void gemm_driver_prepacked(std::size_t m, std::size_t n, std::size_t k, float al
                      [&](std::size_t i0, std::size_t i1, util::Workspace&) {
                        gemm_rows_prepacked(i0, i1, m, n, k, alpha, packed_a, packed_b,
                                            beta, c, epi);
-                     });
-}
-
-void gemm_driver_prepacked_h(std::size_t m, std::size_t n, std::size_t k,
-                             float alpha, const std::uint16_t* packed_a,
-                             Dtype dtype, const float* packed_b, float beta,
-                             float* c, util::ExecContext* exec,
-                             const Epilogue* epi) {
-  if (exec == nullptr) {
-    gemm_rows_prepacked_h(0, m, m, n, k, alpha, packed_a, dtype, packed_b, beta, c,
-                          epi, local_workspace());
-    return;
-  }
-  exec->parallel_for(0, m, row_grain(exec, m, n * k), 2 * m * n * k,
-                     [&](std::size_t i0, std::size_t i1, util::Workspace& ws) {
-                       gemm_rows_prepacked_h(i0, i1, m, n, k, alpha, packed_a, dtype,
-                                             packed_b, beta, c, epi, ws);
                      });
 }
 
@@ -986,54 +701,6 @@ void pack_a_full(std::size_t m, std::size_t k, const float* a, std::size_t lda,
   for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::size_t kc = std::min(kBlockK, k - p0);
     pack_a_block<TransA>(0, m, p0, kc, a, lda, packed + p0 * rt * kMr);
-  }
-}
-
-inline std::uint16_t narrow16(float v, Dtype dtype) {
-  return dtype == Dtype::kBF16 ? float_to_bf16(v) : float_to_half(v);
-}
-
-/// pack_a_full narrowed to 16-bit lanes: identical tile layout, each element
-/// rounded with the scalar converters (bit-identical to the bulk/F16C path).
-template <bool TransA>
-void pack_a_full16(std::size_t m, std::size_t k, const float* a, std::size_t lda,
-                   Dtype dtype, std::uint16_t* packed) {
-  const std::size_t rt = (m + kMr - 1) / kMr;
-  const std::size_t tiles = rt;
-  for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::size_t kc = std::min(kBlockK, k - p0);
-    std::uint16_t* block = packed + p0 * rt * kMr;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const std::size_t r0 = t * kMr;
-      const std::size_t rh = std::min(kMr, m - r0);
-      std::uint16_t* dst = block + t * kc * kMr;
-      for (std::size_t p = 0; p < kc; ++p) {
-        std::uint16_t* d = dst + p * kMr;
-        for (std::size_t r = 0; r < rh; ++r) {
-          const float v =
-              TransA ? a[(p0 + p) * lda + r0 + r] : a[(r0 + r) * lda + p0 + p];
-          d[r] = narrow16(v, dtype);
-        }
-        for (std::size_t r = rh; r < kMr; ++r) d[r] = 0;
-      }
-    }
-  }
-}
-
-/// pack_b_impl narrowed to 16-bit lanes (TransB variant only — the linear
-/// weight convention).
-void pack_b_t_impl16(std::size_t k, std::size_t n, const float* b, std::size_t ldb,
-                     Dtype dtype, std::uint16_t* packed) {
-  const std::size_t tiles = (n + kNr - 1) / kNr;
-  for (std::size_t jt = 0; jt < tiles; ++jt) {
-    const std::size_t j0 = jt * kNr;
-    const std::size_t jw = std::min(kNr, n - j0);
-    std::uint16_t* dst = packed + jt * k * kNr;
-    for (std::size_t p = 0; p < k; ++p) {
-      std::uint16_t* d = dst + p * kNr;
-      for (std::size_t j = 0; j < jw; ++j) d[j] = narrow16(b[(j0 + j) * ldb + p], dtype);
-      for (std::size_t j = jw; j < kNr; ++j) d[j] = 0;
-    }
   }
 }
 
@@ -1154,155 +821,6 @@ void gemm_prepacked_pb(std::size_t m, std::size_t n, std::size_t k, float alpha,
   count_gemm_flops(m, n, k);
   gemm_driver_prepacked(m, n, k, alpha, packed_a, packed_b, beta, c, exec,
                         epi.trivial() ? nullptr : &epi);
-}
-
-void pack_a_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-              std::uint16_t* packed) {
-  pack_a_full16<false>(m, k, a, k, dtype, packed);
-  std::memset(packed + packed_a_size(m, k) - 8, 0, 8 * sizeof(std::uint16_t));
-}
-
-void pack_a_t_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-                std::uint16_t* packed) {
-  pack_a_full16<true>(m, k, a, m, dtype, packed);
-  std::memset(packed + packed_a_size(m, k) - 8, 0, 8 * sizeof(std::uint16_t));
-}
-
-void pack_b_t_h(std::size_t k, std::size_t n, const float* b, Dtype dtype,
-                std::uint16_t* packed) {
-  pack_b_t_impl16(k, n, b, k, dtype, packed);
-}
-
-void gemm_prepacked_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                      const std::uint16_t* packed_a, Dtype dtype, const float* b,
-                      float beta, float* c, const Epilogue& epi,
-                      util::ExecContext* exec) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    scale_c(m, n, beta, c);
-    epilogue_sweep(m, n, c, epi);
-    return;
-  }
-  count_gemm_flops(m, n, k);
-  auto& bbuf = local_workspace().floats(kBPanelSlot);
-  bbuf.resize(packed_b_size(n, k));
-  pack_b_impl<false>(k, n, b, n, bbuf.data());
-  gemm_driver_prepacked_h(m, n, k, alpha, packed_a, dtype, bbuf.data(), beta, c,
-                          exec, epi.trivial() ? nullptr : &epi);
-}
-
-void gemm_prepacked_pb_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                         const std::uint16_t* packed_a, Dtype dtype,
-                         const float* packed_b, float beta, float* c,
-                         const Epilogue& epi, util::ExecContext* exec) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    scale_c(m, n, beta, c);
-    epilogue_sweep(m, n, c, epi);
-    return;
-  }
-  count_gemm_flops(m, n, k);
-  gemm_driver_prepacked_h(m, n, k, alpha, packed_a, dtype, packed_b, beta, c, exec,
-                          epi.trivial() ? nullptr : &epi);
-}
-
-void gemm_packed_bh(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                    const float* a, const std::uint16_t* packed_b, Dtype dtype,
-                    float beta, float* c, const Epilogue& epi,
-                    util::ExecContext* exec) {
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    scale_c(m, n, beta, c);
-    epilogue_sweep(m, n, c, epi);
-    return;
-  }
-  count_gemm_flops(m, n, k);
-  // Inflate the 16-bit panels to fp32 on the calling thread; the panel
-  // layouts are element-identical so the fp32 kernels run unchanged.
-  auto& bbuf = local_workspace().floats(kBPanelSlot);
-  bbuf.resize(packed_b_size(n, k));
-  to_float_n(packed_b, packed_b_size(n, k), dtype, bbuf.data());
-  gemm_driver<false>(m, n, k, alpha, a, k, bbuf.data(), beta, c, exec,
-                     epi.trivial() ? nullptr : &epi);
-}
-
-void pack_a_s8(std::size_t m, std::size_t k, const float* a, std::int8_t* packed,
-               float* row_scales) {
-  std::memset(packed, 0, packed_a_size(m, k));
-  std::size_t saturated = 0;
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = a + i * k;
-    float absmax = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      absmax = std::max(absmax, std::fabs(row[p]));
-    }
-    const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-    row_scales[i] = absmax > 0.0f ? absmax / 127.0f : 0.0f;
-    std::int8_t* lane = packed + (i / kMr) * k * kMr + (i % kMr);
-    for (std::size_t p = 0; p < k; ++p) {
-      long q = std::lrintf(row[p] * inv);
-      if (q > 127) {
-        q = 127;
-        ++saturated;
-      } else if (q < -127) {
-        q = -127;
-        ++saturated;
-      }
-      lane[p * kMr] = static_cast<std::int8_t>(q);
-    }
-  }
-  count_quant_rows(m, saturated);
-}
-
-void pack_b_t_s8(std::size_t k, std::size_t n, const float* b, std::int8_t* packed,
-                 float* col_scales) {
-  std::memset(packed, 0, packed_b_size(n, k));
-  std::size_t saturated = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const float* src = b + j * k;  // logical column j = storage row j
-    float absmax = 0.0f;
-    for (std::size_t p = 0; p < k; ++p) {
-      absmax = std::max(absmax, std::fabs(src[p]));
-    }
-    const float inv = absmax > 0.0f ? 127.0f / absmax : 0.0f;
-    col_scales[j] = absmax > 0.0f ? absmax / 127.0f : 0.0f;
-    std::int8_t* lane = packed + (j / kNr) * k * kNr + (j % kNr);
-    for (std::size_t p = 0; p < k; ++p) {
-      long q = std::lrintf(src[p] * inv);
-      if (q > 127) {
-        q = 127;
-        ++saturated;
-      } else if (q < -127) {
-        q = -127;
-        ++saturated;
-      }
-      lane[p * kNr] = static_cast<std::int8_t>(q);
-    }
-  }
-  count_quant_rows(n, saturated);
-}
-
-void gemm_s8(std::size_t m, std::size_t n, std::size_t k,
-             const std::int8_t* packed_a, const float* a_scales,
-             const std::int8_t* packed_b, const float* b_scales, float b_scale,
-             float* c, const Epilogue& epi, util::ExecContext* exec) {
-  if (m == 0 || n == 0) return;
-  const Epilogue* e = epi.trivial() ? nullptr : &epi;
-  if (k == 0) {
-    scale_c(m, n, 0.0f, c);
-    epilogue_sweep(m, n, c, epi);
-    return;
-  }
-  count_gemm_flops(m, n, k);
-  if (exec == nullptr) {
-    gemm_s8_rows(0, m, n, k, packed_a, a_scales, packed_b, b_scales, b_scale, c, e);
-    return;
-  }
-  exec->parallel_for(0, m, row_grain(exec, m, n * k), 2 * m * n * k,
-                     [&](std::size_t i0, std::size_t i1, util::Workspace&) {
-                       gemm_s8_rows(i0, i1, n, k, packed_a, a_scales, packed_b,
-                                    b_scales, b_scale, c, e);
-                     });
 }
 
 }  // namespace lithogan::math

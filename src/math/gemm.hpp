@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-
-#include "math/half.hpp"
 
 namespace lithogan::util {
 class ExecContext;
@@ -141,84 +138,6 @@ void gemm_prepacked_pb(std::size_t m, std::size_t n, std::size_t k, float alpha,
                        const float* packed_a, const float* packed_b, float beta,
                        float* c, const Epilogue& epi = {},
                        util::ExecContext* exec = nullptr);
-
-// --- Reduced-precision prepacked weights ------------------------------------
-//
-// Inference weights can be packed at fp16/bf16 (half the bytes streamed per
-// GEMM) or per-channel symmetric int8 (a quarter). The 16-bit layouts are
-// element-for-element identical to the fp32 panel layouts above, just stored
-// as 16-bit lanes; kernels widen lanes to fp32 in registers (narrow tiles)
-// or inflate one L1-resident panel block at a time (wide tiles) and then
-// accumulate in fp32, so a 16-bit GEMM is bit-identical to the fp32 GEMM run
-// on roundtripped (fp32 -> 16-bit -> fp32) weights.
-//
-// The int8 layouts drop the K blocking (row tile t of packed A is the
-// contiguous range packed[t * k * MR, ...) p-major; packed B keeps the
-// NR-column tile layout): int8 panels are small enough that K-blocking buys
-// nothing, and a flat layout keeps the int32 kernel simple. Quantization is
-// symmetric absmax: scale = absmax / 127 per weight row (= per output
-// channel) or per activation row (= per sample, keeping outputs independent
-// of batch composition), with int32 accumulation and a fused
-// dequant+bias+activation writeback using the exact Epilogue formulas.
-
-/// 16-bit variants of pack_a / pack_a_t / pack_b_t. Element counts and
-/// layouts match packed_a_size / packed_b_size (in elements, not bytes).
-/// dtype must be kF16 or kBF16.
-void pack_a_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-              std::uint16_t* packed);
-void pack_a_t_h(std::size_t m, std::size_t k, const float* a, Dtype dtype,
-                std::uint16_t* packed);
-void pack_b_t_h(std::size_t k, std::size_t n, const float* b, Dtype dtype,
-                std::uint16_t* packed);
-
-/// gemm_prepacked / gemm_prepacked_pb with a 16-bit packed A (weights).
-void gemm_prepacked_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                      const std::uint16_t* packed_a, Dtype dtype, const float* b,
-                      float beta, float* c, const Epilogue& epi = {},
-                      util::ExecContext* exec = nullptr);
-void gemm_prepacked_pb_h(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                         const std::uint16_t* packed_a, Dtype dtype,
-                         const float* packed_b, float beta, float* c,
-                         const Epilogue& epi = {},
-                         util::ExecContext* exec = nullptr);
-
-/// gemm_packed with a 16-bit packed B (the linear-layer convention: A is the
-/// activation batch, B the prepacked weights). The packed panels are
-/// inflated to fp32 scratch on the calling thread, then the fp32 kernels
-/// run — storage is halved but per-call traffic is not, so this is a
-/// footprint play for linear layers, not a bandwidth one.
-void gemm_packed_bh(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                    const float* a, const std::uint16_t* packed_b, Dtype dtype,
-                    float beta, float* c, const Epilogue& epi = {},
-                    util::ExecContext* exec = nullptr);
-
-/// Quantizes row-major A (m x k) into the flat int8 A-tile layout with one
-/// symmetric absmax scale per row, written to row_scales[m] (scale 0 for an
-/// all-zero row). packed must hold packed_a_size(m, k) elements. Counts
-/// quant.absmax_pass (rows scanned) and quant.saturated (values clamped at
-/// +-127) in obs::Registry. Used both for weights (per output channel, at
-/// plan compile) and activations (per sample, per call).
-void pack_a_s8(std::size_t m, std::size_t k, const float* a, std::int8_t* packed,
-               float* row_scales);
-
-/// Quantizes B stored n x k row-major (logical k x n, the pack_b_t
-/// convention) into int8 B panels with one scale per logical column (= per
-/// output feature), written to col_scales[n]. packed must hold
-/// packed_b_size(n, k) elements.
-void pack_b_t_s8(std::size_t k, std::size_t n, const float* b, std::int8_t* packed,
-                 float* col_scales);
-
-/// C(i,j) = act(a_scales[i] * bscale_j * sum_p A8(i,p) * B8(p,j) + bias),
-/// where bscale_j = b_scales ? b_scales[j] : b_scale. A8/B8 are the int8
-/// layouts above; accumulation is int32 (exact for k * 127^2 < 2^31), the
-/// dequantized value goes through the standard Epilogue formulas. Row
-/// parallel over exec at MR boundaries; integer accumulation makes the
-/// result thread-count invariant by construction.
-void gemm_s8(std::size_t m, std::size_t n, std::size_t k,
-             const std::int8_t* packed_a, const float* a_scales,
-             const std::int8_t* packed_b, const float* b_scales, float b_scale,
-             float* c, const Epilogue& epi = {},
-             util::ExecContext* exec = nullptr);
 
 /// Name of the micro-kernel the runtime dispatch selected for this process:
 /// "avx512f", "avx2-fma" or "portable". Recorded in bench JSON host

@@ -11,7 +11,6 @@
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
-#include "nn/im2col.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
@@ -48,33 +47,22 @@ std::size_t shape_elems(const std::vector<std::size_t>& shape) {
   return n;
 }
 
-// run_linear int8 scratch: activation panels + per-sample scales, carved out
-// of the plan workspace's float slots (above the conv engine's slots 0/1).
-constexpr std::size_t kQuantPanelSlot = 4;
-constexpr std::size_t kQuantScaleSlot = 5;
+/// Inference is f32 only. A leftover LITHOGAN_INFER_DTYPE asking for any
+/// other precision fails the plan build instead of silently serving f32.
+void reject_reduced_precision_env() {
+  const char* dtype = std::getenv("LITHOGAN_INFER_DTYPE");
+  if (dtype == nullptr || *dtype == '\0' || std::strcmp(dtype, "f32") == 0) return;
+  throw util::Error(std::string("LITHOGAN_INFER_DTYPE=") + dtype +
+                    ": inference is f32 only; unset the variable or set it to f32");
+}
 
 }  // namespace
-
-void InferencePlan::set_precision(Precision precision) {
-  LITHOGAN_REQUIRE(steps_.empty() && !finalized_,
-                   "InferencePlan: set_precision after add_module");
-  precision_ = precision;
-}
-
-InferencePlan::Precision InferencePlan::default_precision() {
-  math::Dtype dtype = math::Dtype::kF32;
-  math::parse_dtype(std::getenv("LITHOGAN_INFER_DTYPE"), dtype);
-  return dtype;
-}
 
 std::size_t InferencePlan::weight_bytes() const {
   std::size_t bytes = 0;
   for (const Step& s : steps_) {
     bytes += s.conv_w.weight_bytes();
     bytes += s.packed_w.size() * sizeof(float);
-    bytes += s.packed_w16.size() * sizeof(std::uint16_t);
-    bytes += s.packed_w8.size() * sizeof(std::int8_t);
-    bytes += s.w_scales.size() * sizeof(float);
   }
   return bytes;
 }
@@ -95,6 +83,7 @@ InferencePlan::BufId InferencePlan::add_input(
     const std::vector<std::size_t>& sample_shape) {
   LITHOGAN_REQUIRE(!finalized_ && !has_input_, "InferencePlan: input already declared");
   LITHOGAN_REQUIRE(!sample_shape.empty(), "InferencePlan: empty input shape");
+  reject_reduced_precision_env();
   input_id_ = new_buffer(sample_shape);
   buffers_[input_id_].external = true;
   has_input_ = true;
@@ -150,8 +139,7 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.conv = math::conv_plan(key);
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw(), precision_);
-    s.wdtype = s.conv_w.dtype;
+    s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw());
     s.bias.assign(conv->bias().raw(), conv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -192,8 +180,7 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.conv = math::conv_plan(key);
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw(), precision_);
-    s.wdtype = s.conv_w.dtype;
+    s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw());
     s.bias.assign(deconv->bias().raw(), deconv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -212,26 +199,9 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.in_c = linear->in_features();
     s.out_c = linear->out_features();
     // y = x W^T: the (out, in) weight is the transposed-B operand of
-    // gemm_bt; pre-pack its panels once, in the plan's precision.
-    s.wdtype = precision_;
-    switch (precision_) {
-      case math::Dtype::kF32:
-        s.packed_w.resize(math::packed_b_size(s.out_c, s.in_c));
-        math::pack_b_t(s.in_c, s.out_c, linear->weight().raw(), s.packed_w.data());
-        break;
-      case math::Dtype::kF16:
-      case math::Dtype::kBF16:
-        s.packed_w16.resize(math::packed_b_size(s.out_c, s.in_c));
-        math::pack_b_t_h(s.in_c, s.out_c, linear->weight().raw(), precision_,
-                         s.packed_w16.data());
-        break;
-      case math::Dtype::kI8:
-        s.packed_w8.resize(math::packed_b_size(s.out_c, s.in_c));
-        s.w_scales.resize(s.out_c);
-        math::pack_b_t_s8(s.in_c, s.out_c, linear->weight().raw(),
-                          s.packed_w8.data(), s.w_scales.data());
-        break;
-    }
+    // gemm_bt; pre-pack its panels once.
+    s.packed_w.resize(math::packed_b_size(s.out_c, s.in_c));
+    math::pack_b_t(s.in_c, s.out_c, linear->weight().raw(), s.packed_w.data());
     s.bias.assign(linear->bias().raw(), linear->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c});
     s.in_elems = buffers_[in].sample_elems;
@@ -295,8 +265,8 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.kernel = pool->kernel();
     s.stride = pool->stride();
     s.out_c = s.in_c;
-    s.out_h = conv_out_size(s.in_h, s.kernel, s.stride, 0);
-    s.out_w = conv_out_size(s.in_w, s.kernel, s.stride, 0);
+    s.out_h = math::conv_out_size(s.in_h, s.kernel, s.stride, 0);
+    s.out_w = math::conv_out_size(s.in_w, s.kernel, s.stride, 0);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
     s.out_elems = buffers_[s.out].sample_elems;
@@ -526,31 +496,8 @@ void InferencePlan::run_linear(const Step& s, std::size_t batch, const float* sr
   epi.bias_per_row = false;  // linear bias broadcasts along C's columns
   epi.act = s.act;
   epi.slope = s.slope;
-  switch (s.wdtype) {
-    case math::Dtype::kF32:
-      math::gemm_packed(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w.data(), 0.0f,
-                        dst, epi, exec_);
-      break;
-    case math::Dtype::kF16:
-    case math::Dtype::kBF16:
-      math::gemm_packed_bh(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w16.data(),
-                           s.wdtype, 0.0f, dst, epi, exec_);
-      break;
-    case math::Dtype::kI8: {
-      // Quantize the activation rows into workspace scratch (capacity is
-      // retained: steady-state calls at a warm batch size never allocate).
-      const std::size_t pa_bytes = math::packed_a_size(batch, s.in_c);
-      auto& paf = ws_.floats(kQuantPanelSlot);
-      auto& scales = ws_.floats(kQuantScaleSlot);
-      paf.resize((pa_bytes + 3) / 4);
-      scales.resize(batch);
-      std::int8_t* pa8 = reinterpret_cast<std::int8_t*>(paf.data());
-      math::pack_a_s8(batch, s.in_c, src, pa8, scales.data());
-      math::gemm_s8(batch, s.out_c, s.in_c, pa8, scales.data(), s.packed_w8.data(),
-                    s.w_scales.data(), 0.0f, dst, epi, exec_);
-      break;
-    }
-  }
+  math::gemm_packed(batch, s.out_c, s.in_c, 1.0f, src, s.packed_w.data(), 0.0f, dst,
+                    epi, exec_);
 }
 
 void InferencePlan::run_batchnorm(const Step& s, std::size_t batch, const float* src,
@@ -759,31 +706,16 @@ std::string InferencePlan::plan_dump() const {
         name = "concat";
         break;
     }
-    // Weight-bearing steps report their live storage dtype, the packed byte
-    // footprint, and (int8) the per-channel dequant scale range. A step whose
-    // engine route has no reduced path keeps fp32 storage and marks the
-    // requested dtype, e.g. `dtype=f32(req=i8)`.
-    auto weight_info = [&](std::size_t bytes, const std::vector<float>& scales) {
-      os << " dtype=" << math::dtype_name(s.wdtype);
-      if (s.wdtype != precision_) os << "(req=" << math::dtype_name(precision_) << ')';
-      os << " bytes=" << bytes;
-      if (s.wdtype == math::Dtype::kI8 && !scales.empty()) {
-        const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());
-        os << " scale=[" << *lo << ',' << *hi << ']';
-      }
-    };
+    // Weight-bearing steps report their packed byte footprint.
     os << "step " << i << ": " << name;
     if (s.op == Op::kConv || s.op == Op::kDeconv) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w << " -> " << s.out_c << 'x'
          << s.out_h << 'x' << s.out_w << " k" << s.kernel << " s" << s.stride << " p"
-         << s.pad << " algo=" << math::conv_algo_name(s.conv->algo);
-      weight_info(s.conv_w.weight_bytes(), s.conv_w.scales);
+         << s.pad << " algo=" << math::conv_algo_name(s.conv->algo)
+         << " bytes=" << s.conv_w.weight_bytes();
     } else if (s.op == Op::kLinear) {
-      os << ' ' << s.in_c << " -> " << s.out_c;
-      weight_info(s.packed_w.size() * sizeof(float) +
-                      s.packed_w16.size() * sizeof(std::uint16_t) +
-                      s.packed_w8.size() + s.w_scales.size() * sizeof(float),
-                  s.w_scales);
+      os << ' ' << s.in_c << " -> " << s.out_c
+         << " bytes=" << s.packed_w.size() * sizeof(float);
     } else if (s.op != Op::kActivation) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w;
     }

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,15 +53,6 @@ class InferencePlan {
   /// Logical activation buffer id within the plan graph.
   using BufId = std::size_t;
 
-  /// Weight storage/compute dtype for the whole plan (math::Dtype). kF32 —
-  /// the default — is bit-identical to eval-mode module forward. kF16/kBF16
-  /// store weight panels at 16 bits and accumulate in fp32; kI8 stores
-  /// per-output-channel symmetric int8 weights and dynamically quantizes
-  /// activations per sample. Steps with no reduced execution route (tap-loop
-  /// direct, FFT, int8 deconv) fall back to fp32 storage and say so in
-  /// plan_dump().
-  using Precision = math::Dtype;
-
   InferencePlan() = default;
   InferencePlan(const InferencePlan&) = delete;
   InferencePlan& operator=(const InferencePlan&) = delete;
@@ -71,19 +61,14 @@ class InferencePlan {
 
   // --- graph construction (load time) ---------------------------------------
 
-  /// Selects the weight dtype for every step added afterwards. Must be
-  /// called before any add_module (packing bakes the precision in). The
-  /// construction-time default honors the LITHOGAN_INFER_DTYPE env override
-  /// ("f16", "bf16", "i8"; anything else / unset = kF32).
-  void set_precision(Precision precision);
-  Precision precision() const { return precision_; }
-
-  /// Total bytes of plan-owned packed weights and quantization scales
-  /// (finalized plans; also exported as the infer.weight_bytes gauge).
+  /// Total bytes of plan-owned packed weights (finalized plans; also
+  /// exported as the infer.weight_bytes gauge).
   std::size_t weight_bytes() const;
 
   /// Declares the external input with its per-sample shape, e.g. {C, H, W}.
-  /// Must be the first call; returns the input buffer id.
+  /// Must be the first call; returns the input buffer id. Plans run in f32
+  /// only: throws util::Error if LITHOGAN_INFER_DTYPE is set to anything
+  /// other than empty or "f32".
   BufId add_input(const std::vector<std::size_t>& sample_shape);
 
   /// Appends one layer reading `in`; returns the buffer its result lands
@@ -158,11 +143,7 @@ class InferencePlan {
     float slope = 0.2f;
     std::size_t act_cost = 2;  ///< dispatch-cost ops/elem hint (standalone act)
     // Plan-owned constants.
-    std::vector<float> packed_w;  ///< pre-packed weight panels (linear, fp32)
-    std::vector<std::uint16_t> packed_w16;  ///< fp16/bf16 linear panels
-    std::vector<std::int8_t> packed_w8;     ///< int8 linear panels
-    std::vector<float> w_scales;  ///< per-output-feature dequant scales (kI8)
-    math::Dtype wdtype = math::Dtype::kF32;  ///< effective linear weight dtype
+    std::vector<float> packed_w;  ///< pre-packed weight panels (linear)
     std::vector<float> bias;
     std::vector<float> bn_mean, bn_inv_std, bn_gamma, bn_beta;
     // Conv/deconv steps: the engine plan (algorithm choice, geometry,
@@ -200,12 +181,8 @@ class InferencePlan {
   void run_activation(const Step& s, std::size_t batch, const float* src, float* dst);
   void run_maxpool(const Step& s, std::size_t batch, const float* src, float* dst);
 
-  /// Construction-time default: LITHOGAN_INFER_DTYPE env override or kF32.
-  static Precision default_precision();
-
   std::vector<Step> steps_;
   std::vector<BufferInfo> buffers_;
-  Precision precision_ = default_precision();
   bool has_input_ = false;
   bool has_output_ = false;
   bool finalized_ = false;

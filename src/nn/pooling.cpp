@@ -2,7 +2,7 @@
 
 #include <limits>
 
-#include "nn/im2col.hpp"
+#include "math/conv.hpp"
 #include "util/error.hpp"
 
 namespace lithogan::nn {
@@ -18,8 +18,8 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   const std::size_t channels = input.dim(1);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
-  const std::size_t out_h = conv_out_size(h, kernel_, stride_, 0);
-  const std::size_t out_w = conv_out_size(w, kernel_, stride_, 0);
+  const std::size_t out_h = math::conv_out_size(h, kernel_, stride_, 0);
+  const std::size_t out_w = math::conv_out_size(w, kernel_, stride_, 0);
 
   input_shape_ = input.shape();
   output_shape_ = {batch, channels, out_h, out_w};
@@ -85,8 +85,8 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   const std::size_t channels = input.dim(1);
   const std::size_t h = input.dim(2);
   const std::size_t w = input.dim(3);
-  const std::size_t out_h = conv_out_size(h, kernel_, stride_, 0);
-  const std::size_t out_w = conv_out_size(w, kernel_, stride_, 0);
+  const std::size_t out_h = math::conv_out_size(h, kernel_, stride_, 0);
+  const std::size_t out_w = math::conv_out_size(w, kernel_, stride_, 0);
   input_shape_ = input.shape();
   output_shape_ = {batch, channels, out_h, out_w};
 

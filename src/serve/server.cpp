@@ -38,8 +38,8 @@ Server::Server(core::LithoGan& model, Config config)
   batch_out_.resize(config_.max_batch);
   batch_slots_.resize(config_.max_batch);
 
-  // Compile (and precision-gate) the serving plans before accepting
-  // traffic: plan build is the one legitimately allocating phase.
+  // Compile the serving plans before accepting traffic: plan build is the
+  // one legitimately allocating phase.
   model_.serving_precision();
 
   scheduler_ = std::thread([this] { scheduler_main(); });

@@ -89,8 +89,7 @@ struct Stats {
 class Server {
  public:
   /// The model must outlive the server. The server compiles the model's
-  /// serving plans (and runs the reduced-precision accuracy gate) up
-  /// front, so the first dispatch is not a compile stall.
+  /// serving plans up front, so the first dispatch is not a compile stall.
   explicit Server(core::LithoGan& model, Config config = {});
 
   /// Joins the scheduler after draining accepted work (shutdown()).

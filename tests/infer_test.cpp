@@ -5,12 +5,16 @@
 //   * InferencePlan::infer is bit-identical to eval-mode module forward for
 //     all three paper networks, across batch sizes and thread counts;
 //   * steady-state infer() calls perform zero arena allocations;
+//   * a leftover LITHOGAN_INFER_DTYPE other than f32 fails the plan build;
 //   * LithoGan::predict_batch reproduces the per-sample module path byte
 //     for byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/center.hpp"
@@ -22,6 +26,7 @@
 #include "math/gemm.hpp"
 #include "nn/infer.hpp"
 #include "nn/sequential.hpp"
+#include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -289,6 +294,70 @@ TEST(InferencePlan, ZeroSteadyStateAllocations) {
   const auto steady = plan.arena_stats();
   EXPECT_EQ(warm.allocations, steady.allocations)
       << "steady-state infer() must not allocate";
+}
+
+namespace {
+
+/// Scoped LITHOGAN_INFER_DTYPE: restores the caller's value (or its
+/// absence) on exit, so a failing assertion cannot leak the variable into
+/// later tests.
+class ScopedInferDtype {
+ public:
+  ScopedInferDtype() {
+    if (const char* v = std::getenv(kVar)) saved_ = v;
+  }
+  ~ScopedInferDtype() {
+    if (saved_) {
+      setenv(kVar, saved_->c_str(), 1);
+    } else {
+      unsetenv(kVar);
+    }
+  }
+  void set(const char* value) { ASSERT_EQ(setenv(kVar, value, 1), 0); }
+  void unset() { ASSERT_EQ(unsetenv(kVar), 0); }
+
+ private:
+  static constexpr const char* kVar = "LITHOGAN_INFER_DTYPE";
+  std::optional<std::string> saved_;
+};
+
+}  // namespace
+
+TEST(InferencePlan, RejectsLeftoverReducedPrecisionEnv) {
+  // Inference is f32 only. A leftover LITHOGAN_INFER_DTYPE naming any other
+  // precision must fail the plan build, not silently serve f32.
+  const lc::LithoGanConfig cfg = test_config();
+  const std::vector<std::size_t> shape{cfg.mask_channels, cfg.image_size,
+                                       cfg.image_size};
+  lu::Rng rng(11);
+  auto gen = lc::build_generator(cfg, rng);
+  ScopedInferDtype env;
+
+  for (const char* value : {"f16", "bf16", "i8", "fp32"}) {
+    env.set(value);
+    ln::InferencePlan plan;
+    try {
+      plan.compile(*gen, shape);
+      ADD_FAILURE() << "plan compiled with LITHOGAN_INFER_DTYPE=" << value;
+    } catch (const lu::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("LITHOGAN_INFER_DTYPE"), std::string::npos) << what;
+      EXPECT_NE(what.find("f32 only"), std::string::npos) << what;
+    }
+    lc::LithoGan model(cfg, lc::Mode::kDualLearning);
+    EXPECT_THROW(model.serving_precision(), lu::Error) << value;
+  }
+
+  for (const char* value : {"", "f32"}) {
+    env.set(value);
+    ln::InferencePlan plan;
+    EXPECT_NO_THROW(plan.compile(*gen, shape)) << '"' << value << '"';
+  }
+  env.unset();
+  ln::InferencePlan plan;
+  EXPECT_NO_THROW(plan.compile(*gen, shape));
+  lc::LithoGan model(cfg, lc::Mode::kDualLearning);
+  EXPECT_STREQ(model.serving_precision(), "f32");
 }
 
 // ---------------------------------------------------------------------------

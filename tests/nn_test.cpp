@@ -4,12 +4,12 @@
 #include <filesystem>
 #include <tuple>
 
+#include "math/conv.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
 #include "nn/gradcheck.hpp"
-#include "nn/im2col.hpp"
 #include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
@@ -23,6 +23,7 @@
 #include "util/fileio.hpp"
 #include "util/rng.hpp"
 
+namespace lm = lithogan::math;
 namespace ln = lithogan::nn;
 namespace lu = lithogan::util;
 
@@ -91,20 +92,20 @@ TEST(Tensor, AddScaledAndScale) {
 // ---------------------------------------------------------------------------
 
 TEST(Im2col, OutSizeFormulas) {
-  EXPECT_EQ(ln::conv_out_size(256, 5, 2, 2), 128u);
-  EXPECT_EQ(ln::conv_out_size(128, 5, 2, 2), 64u);
-  EXPECT_EQ(ln::conv_out_size(2, 5, 2, 2), 1u);
-  EXPECT_EQ(ln::deconv_out_size(1, 5, 2, 2, 1), 2u);
-  EXPECT_EQ(ln::deconv_out_size(128, 5, 2, 2, 1), 256u);
-  EXPECT_THROW(ln::conv_out_size(2, 5, 2, 0), lu::InvalidArgument);
-  EXPECT_THROW(ln::deconv_out_size(4, 3, 2, 1, 2), lu::InvalidArgument);
+  EXPECT_EQ(lm::conv_out_size(256, 5, 2, 2), 128u);
+  EXPECT_EQ(lm::conv_out_size(128, 5, 2, 2), 64u);
+  EXPECT_EQ(lm::conv_out_size(2, 5, 2, 2), 1u);
+  EXPECT_EQ(lm::deconv_out_size(1, 5, 2, 2, 1), 2u);
+  EXPECT_EQ(lm::deconv_out_size(128, 5, 2, 2, 1), 256u);
+  EXPECT_THROW(lm::conv_out_size(2, 5, 2, 0), lu::InvalidArgument);
+  EXPECT_THROW(lm::deconv_out_size(4, 3, 2, 1, 2), lu::InvalidArgument);
 }
 
 TEST(Im2col, IdentityKernelLayout) {
   // 1x1 kernel, stride 1, no pad: im2col is the identity.
   const float src[6] = {1, 2, 3, 4, 5, 6};  // (1, 2, 3)
   float col[6] = {};
-  ln::im2col(src, 1, 2, 3, 1, 1, 0, col);
+  lm::im2col(src, 1, 2, 3, 1, 1, 0, col);
   for (int i = 0; i < 6; ++i) EXPECT_FLOAT_EQ(col[i], src[i]);
 }
 
@@ -112,7 +113,7 @@ TEST(Im2col, PaddingReadsZero) {
   // 3x3 kernel centered on a 1x1 image with pad 1: only the middle tap hits.
   const float src[1] = {7.0f};
   float col[9] = {};
-  ln::im2col(src, 1, 1, 1, 3, 1, 1, col);
+  lm::im2col(src, 1, 1, 1, 3, 1, 1, col);
   for (int i = 0; i < 9; ++i) {
     EXPECT_FLOAT_EQ(col[i], i == 4 ? 7.0f : 0.0f) << "tap " << i;
   }
@@ -127,20 +128,20 @@ TEST(Im2col, Col2imIsAdjoint) {
   const std::size_t k = 3;
   const std::size_t s = 2;
   const std::size_t p = 1;
-  const std::size_t oh = ln::conv_out_size(H, k, s, p);
-  const std::size_t ow = ln::conv_out_size(W, k, s, p);
+  const std::size_t oh = lm::conv_out_size(H, k, s, p);
+  const std::size_t ow = lm::conv_out_size(W, k, s, p);
   std::vector<float> x(C * H * W);
   std::vector<float> y(C * k * k * oh * ow);
   for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto& v : y) v = static_cast<float>(rng.uniform(-1, 1));
 
   std::vector<float> col(y.size());
-  ln::im2col(x.data(), C, H, W, k, s, p, col.data());
+  lm::im2col(x.data(), C, H, W, k, s, p, col.data());
   double lhs = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) lhs += static_cast<double>(col[i]) * y[i];
 
   std::vector<float> back(x.size(), 0.0f);
-  ln::col2im(y.data(), C, H, W, k, s, p, back.data());
+  lm::col2im(y.data(), C, H, W, k, s, p, back.data());
   double rhs = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += static_cast<double>(x[i]) * back[i];
 

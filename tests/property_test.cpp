@@ -14,7 +14,7 @@
 #include "image/ops.hpp"
 #include "litho/resist.hpp"
 #include "litho/simulator.hpp"
-#include "nn/im2col.hpp"
+#include "math/conv.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -40,8 +40,8 @@ TEST_P(Im2colGeometry, AdjointIdentityHolds) {
   const std::size_t H = 9;
   const std::size_t W = 11;
   if (H + 2 * pad < kernel) GTEST_SKIP();
-  const std::size_t oh = nn::conv_out_size(H, kernel, stride, pad);
-  const std::size_t ow = nn::conv_out_size(W, kernel, stride, pad);
+  const std::size_t oh = math::conv_out_size(H, kernel, stride, pad);
+  const std::size_t ow = math::conv_out_size(W, kernel, stride, pad);
 
   util::Rng rng(kernel * 100 + stride * 10 + pad);
   std::vector<float> x(C * H * W);
@@ -50,12 +50,12 @@ TEST_P(Im2colGeometry, AdjointIdentityHolds) {
   for (auto& v : y) v = static_cast<float>(rng.uniform(-1, 1));
 
   std::vector<float> col(y.size());
-  nn::im2col(x.data(), C, H, W, kernel, stride, pad, col.data());
+  math::im2col(x.data(), C, H, W, kernel, stride, pad, col.data());
   double lhs = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) lhs += static_cast<double>(col[i]) * y[i];
 
   std::vector<float> back(x.size(), 0.0f);
-  nn::col2im(y.data(), C, H, W, kernel, stride, pad, back.data());
+  math::col2im(y.data(), C, H, W, kernel, stride, pad, back.data());
   double rhs = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) rhs += static_cast<double>(x[i]) * back[i];
 

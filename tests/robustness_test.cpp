@@ -8,10 +8,10 @@
 #include "geometry/marching_squares.hpp"
 #include "geometry/rasterize.hpp"
 #include "litho/optical.hpp"
+#include "math/conv.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
-#include "nn/im2col.hpp"
 #include "nn/instancenorm.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
@@ -34,8 +34,8 @@ nn::Tensor naive_conv(const nn::Tensor& x, const nn::Tensor& w, const nn::Tensor
   const std::size_t in_ch = x.dim(1);
   const std::size_t h = x.dim(2);
   const std::size_t width = x.dim(3);
-  const std::size_t oh = nn::conv_out_size(h, k, stride, pad);
-  const std::size_t ow = nn::conv_out_size(width, k, stride, pad);
+  const std::size_t oh = math::conv_out_size(h, k, stride, pad);
+  const std::size_t ow = math::conv_out_size(width, k, stride, pad);
   nn::Tensor y({batch, out_ch, oh, ow});
   for (std::size_t n = 0; n < batch; ++n) {
     for (std::size_t oc = 0; oc < out_ch; ++oc) {
