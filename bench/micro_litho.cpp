@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks for the lithography substrate: FFT, aerial
-// imaging at fast vs rigorous settings, the resist stage, and contour
-// extraction. These underpin the Table 4 runtime reproduction.
+// imaging at fast vs rigorous settings, the resist stage on the band and
+// full-grid blur paths, and contour extraction. These underpin the Table 4
+// runtime reproduction.
 #include <benchmark/benchmark.h>
 
 #include "geometry/marching_squares.hpp"
@@ -76,6 +77,24 @@ static void BM_FullSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullSimulation);
+
+// The resist stage (latent blur + VTR threshold + develop) on the chip tile
+// grid, 512 px over 2048 nm. Arg 1 develops the aerial as imaged, tagged
+// with its band, so the blur runs on the 64-px imaging grid; arg 0 clears
+// the tag and takes the full-grid blur.
+static void BM_Develop(benchmark::State& state) {
+  auto p = litho::ProcessConfig::n10();
+  p.grid.pixels = 512;
+  p.grid.extent_nm = 2048.0;
+  litho::Simulator sim(p);
+  auto aerial = sim.aerial_image(bench_mask(p));
+  if (state.range(0) == 0) aerial.band_pixels = 0;
+  for (auto _ : state) {
+    auto develop = sim.develop(aerial);
+    benchmark::DoNotOptimize(develop.values.data());
+  }
+}
+BENCHMARK(BM_Develop)->ArgName("band")->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 static void BM_MarchingSquares(benchmark::State& state) {
   const std::size_t n = 128;

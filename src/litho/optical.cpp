@@ -129,69 +129,6 @@ void band_spectrum(const std::vector<double>& image, std::size_t n, std::size_t 
   });
 }
 
-/// Fourier interpolation of a real m x m periodic image to n x n (m < n,
-/// both powers of two): its spectrum is zero-padded into the n x n
-/// spectrum and inverse-transformed. Exact when the spectrum lies strictly
-/// inside |q| < m/2; the Nyquist row and column, zero in exact arithmetic,
-/// are dropped so the padded spectrum stays Hermitian.
-///
-/// The inverse is pruned. Only the m - 1 band rows of the padded spectrum
-/// are nonzero, so only they are row-transformed, into `rows`
-/// ((m - 1) x n). The result is real, so the column stage transforms two
-/// columns per complex FFT: column c in the real part, c + 1 in the
-/// imaginary part. Every line is independent, so both stages are
-/// bit-identical at any thread count.
-void fourier_interpolate(const std::vector<double>& coarse, std::size_t m, std::size_t n,
-                         std::vector<math::Complex>& rows, double* out,
-                         util::ExecContext* exec, util::Workspace& serial_ws) {
-  const std::vector<math::Complex> spectrum =
-      math::fft2d_real_forward(coarse, m, m, exec);
-  // Band line b < m - 1 is m-grid bin b, skipping the Nyquist bin m/2; on
-  // the n grid the negative half moves up by n - m.
-  const std::size_t half = m / 2;
-  const std::size_t band = m - 1;
-  const auto to_m = [&](std::size_t b) { return b < half ? b : b + 1; };
-  const auto to_n = [&](std::size_t b) { return b < half ? b : b + 1 + n - m; };
-  const std::size_t line_cost = fft_line_cost(n);
-  rows.resize(band * n);
-
-  util::parallel_for(exec, serial_ws, 0, band, exec ? exec->grain_for(band) : band,
-                     band * line_cost,
-                     [&](std::size_t b0, std::size_t b1, util::Workspace& ws) {
-    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/true);
-    for (std::size_t b = b0; b < b1; ++b) {
-      const math::Complex* src = spectrum.data() + to_m(b) * m;
-      math::Complex* row = rows.data() + b * n;
-      std::fill(row, row + n, math::Complex(0.0, 0.0));
-      for (std::size_t c = 0; c < band; ++c) row[to_n(c)] = src[to_m(c)];
-      math::fft(row, plan);
-    }
-  });
-
-  const std::size_t pairs = n / 2;
-  util::parallel_for(exec, serial_ws, 0, pairs, exec ? exec->grain_for(pairs) : pairs,
-                     pairs * line_cost,
-                     [&](std::size_t p0, std::size_t p1, util::Workspace& ws) {
-    const math::FftPlan& plan = math::fft_plan(ws, n, /*inverse=*/true);
-    auto& line = ws.complexes(0);
-    line.resize(n);
-    for (std::size_t p = p0; p < p1; ++p) {
-      const std::size_t c = 2 * p;
-      std::fill(line.begin(), line.end(), math::Complex(0.0, 0.0));
-      for (std::size_t b = 0; b < band; ++b) {
-        const math::Complex lo = rows[b * n + c];
-        const math::Complex hi = rows[b * n + c + 1];
-        line[to_n(b)] = math::Complex(lo.real() - hi.imag(), lo.imag() + hi.real());
-      }
-      math::fft(line.data(), plan);
-      for (std::size_t y = 0; y < n; ++y) {
-        out[y * n + c] = line[y].real();
-        out[y * n + c + 1] = line[y].imag();
-      }
-    }
-  });
-}
-
 }  // namespace
 
 OpticalModel::OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
@@ -461,7 +398,9 @@ FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
   } else {
     const obs::Span span("sim.band_interpolate");
     out.values.resize(n * n);
-    fourier_interpolate(image, m, n, lines, out.values.data(), exec_, ws);
+    math::fourier_interpolate(math::fft2d_real_forward(image, m, m, exec_), m, n, lines,
+                              out.values.data(), exec_);
+    out.band_pixels = m;
   }
   return out;
 }

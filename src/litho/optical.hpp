@@ -29,6 +29,13 @@ struct FieldGrid {
   std::size_t pixels = 0;
   double extent_nm = 0.0;
   std::vector<double> values;
+  /// The imaging band the values carry: m when they are the Fourier
+  /// interpolation of an m x m grid (so their spectrum lies strictly inside
+  /// |q| < m/2), 0 when they carry no band. OpticalModel::aerial_image sets
+  /// it; pointwise scaling and diffuse keep it; every other producer,
+  /// develop included, leaves it 0. diffuse blurs a tagged field on its
+  /// m x m grid and rejects a tag that is not 0 or a power of two <= pixels.
+  std::size_t band_pixels = 0;
 
   double pixel_nm() const { return extent_nm / static_cast<double>(pixels); }
   double& at(std::size_t ix, std::size_t iy) { return values[iy * pixels + ix]; }
@@ -50,9 +57,10 @@ class OpticalModel {
   OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
                util::ExecContext* exec = nullptr);
 
-  /// Aerial image of a rasterized mask. Output grid matches the input.
-  /// Bit-identical at every thread count: kernel intensities are computed
-  /// in parallel but accumulated in kernel order.
+  /// Aerial image of a rasterized mask. Output grid matches the input and
+  /// carries band_pixels = imaging_pixels() when that is below the grid
+  /// side. Bit-identical at every thread count: kernel intensities are
+  /// computed in parallel but accumulated in kernel order.
   FieldGrid aerial_image(const FieldGrid& mask) const;
 
   /// Side of the band-limited grid the coherent kernels are imaged on: the

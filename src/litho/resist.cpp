@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "math/conv.hpp"
+#include "math/fft.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/exec_context.hpp"
@@ -12,24 +14,32 @@ namespace lithogan::litho {
 
 FieldGrid diffuse(const FieldGrid& field, double sigma_nm, util::ExecContext* exec) {
   LITHOGAN_REQUIRE(sigma_nm >= 0.0, "diffusion sigma negative");
+  const std::size_t band = field.band_pixels;
+  LITHOGAN_REQUIRE(band == 0 || (math::is_power_of_two(band) && band <= field.pixels),
+                   "field band must be 0 or a power of two <= its pixels");
   if (sigma_nm == 0.0) return field;
   const obs::Span span("sim.diffuse");
-  // Spectral Gaussian blur via the conv engine: the attenuation table
-  // exp(-2 pi^2 sigma^2 |f|^2) comes from the engine's plan cache instead
-  // of being recomputed per call; results are byte-identical to the
-  // historical in-line loop.
+  // Spectral Gaussian blur via the conv engine, on the band grid when the
+  // field carries one (see math::gaussian_blur_2d).
+  static obs::Counter& band_blurs = obs::Registry::global().counter("sim.diffuse_band");
+  static obs::Counter& full_blurs = obs::Registry::global().counter("sim.diffuse_full");
+  const std::size_t m = band == 0 ? field.pixels : band;
+  (m < field.pixels ? band_blurs : full_blurs).add();
   FieldGrid out = field;
-  math::gaussian_blur_2d(out.values, field.pixels, sigma_nm, field.pixel_nm(), exec);
+  math::gaussian_blur_2d(out.values, field.pixels, m, sigma_nm, field.pixel_nm(), exec);
   return out;
 }
 
 FieldGrid ResistModel::develop(const FieldGrid& aerial) const {
-  const FieldGrid latent = latent_image(aerial);
-  const FieldGrid threshold = threshold_field(latent);
-  FieldGrid out = latent;
+  return develop_latent(latent_image(aerial));
+}
+
+FieldGrid ResistModel::develop_latent(const FieldGrid& latent) const {
+  FieldGrid out = threshold_field(latent);
   for (std::size_t i = 0; i < out.values.size(); ++i) {
-    out.values[i] = latent.values[i] - threshold.values[i];
+    out.values[i] = latent.values[i] - out.values[i];
   }
+  out.band_pixels = 0;
   return out;
 }
 
@@ -38,8 +48,10 @@ FieldGrid ConstantThresholdResist::latent_image(const FieldGrid& aerial) const {
 }
 
 FieldGrid ConstantThresholdResist::threshold_field(const FieldGrid& latent) const {
-  FieldGrid out = latent;
-  std::fill(out.values.begin(), out.values.end(), config_.threshold);
+  FieldGrid out;
+  out.pixels = latent.pixels;
+  out.extent_nm = latent.extent_nm;
+  out.values.assign(latent.values.size(), config_.threshold);
   return out;
 }
 

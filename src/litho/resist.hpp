@@ -19,6 +19,11 @@ namespace lithogan::litho {
 
 /// Gaussian blur of `field` with standard deviation `sigma_nm` (circular
 /// boundary, FFT-based — consistent with the optical model's conventions).
+/// A field that carries a band (FieldGrid::band_pixels = m < pixels) is
+/// blurred on its m x m grid and keeps the tag: exact, since the Gaussian
+/// keeps it inside the band. An untagged field, or one with m = pixels,
+/// takes the full-grid blur. Throws util::InvalidArgument when band_pixels
+/// is neither 0 nor a power of two <= pixels.
 FieldGrid diffuse(const FieldGrid& field, double sigma_nm,
                   util::ExecContext* exec = nullptr);
 
@@ -35,6 +40,11 @@ class ResistModel {
   /// develop = latent - threshold; the printed pattern is develop >= 0 and
   /// printed contours are the zero iso-lines of this field.
   FieldGrid develop(const FieldGrid& aerial) const;
+
+  /// The develop step from a latent image: latent - threshold, written into
+  /// the threshold field's buffer and returned with no band (a threshold
+  /// is not band-limited).
+  FieldGrid develop_latent(const FieldGrid& latent) const;
 
   /// Attaches the execution context used by the model's grid passes (not
   /// owned; nullptr = serial). All passes are bit-identical at any thread

@@ -66,11 +66,7 @@ SimulationResult Simulator::run(const std::vector<geometry::Rect>& mask_openings
   {
     const obs::Span span("sim.resist");
     result.latent = resist_->latent_image(result.aerial);
-    const FieldGrid threshold = resist_->threshold_field(result.latent);
-    result.develop = result.latent;
-    for (std::size_t i = 0; i < result.develop.values.size(); ++i) {
-      result.develop.values[i] = result.latent.values[i] - threshold.values[i];
-    }
+    result.develop = resist_->develop_latent(result.latent);
   }
   timings_.add("resist", resist_timer.elapsed_seconds());
 

@@ -987,8 +987,9 @@ void deconv2d_backward(const ConvPlan& plan, std::size_t batch, const float* inp
 
 namespace {
 
-/// Cached spectral attenuation table exp(-2 pi^2 sigma^2 |f|^2). Keyed on
-/// the exact double bits of sigma and pixel size; elements are computed
+/// Cached spectral attenuation table exp(-2 pi^2 sigma^2 |f|^2) on an n x n
+/// grid (the band grid for a band blur). Keyed on n and the exact double
+/// bits of sigma and pixel size; elements are computed
 /// with the same expression the historical litho loop evaluated per call,
 /// so multiplying by the table is byte-identical to recomputing.
 using BlurKey = std::tuple<std::size_t, std::uint64_t, std::uint64_t>;
@@ -1007,7 +1008,8 @@ std::shared_ptr<const std::vector<double>> blur_table(std::size_t n, double sigm
   plan_misses().add();
   const auto bin_freq = [&](std::size_t i) {
     const auto si = static_cast<std::ptrdiff_t>(i);
-    const auto half = static_cast<std::ptrdiff_t>(n / 2);
+    // Bins [0, ceil(n/2)) are non-negative (bin 0 alone when n = 1).
+    const auto half = static_cast<std::ptrdiff_t>((n + 1) / 2);
     const std::ptrdiff_t signed_i =
         si < half ? si : si - static_cast<std::ptrdiff_t>(n);
     return static_cast<double>(signed_i) / (static_cast<double>(n) * pixel_nm);
@@ -1027,10 +1029,31 @@ std::shared_ptr<const std::vector<double>> blur_table(std::size_t n, double sigm
 
 }  // namespace
 
-void gaussian_blur_2d(std::vector<double>& values, std::size_t n, double sigma_nm,
-                      double pixel_nm, util::ExecContext* exec) {
+void gaussian_blur_2d(std::vector<double>& values, std::size_t n, std::size_t m,
+                      double sigma_nm, double pixel_nm, util::ExecContext* exec) {
   LITHOGAN_REQUIRE(values.size() == n * n, "gaussian_blur_2d: size mismatch");
+  LITHOGAN_REQUIRE(is_power_of_two(m) && m <= n,
+                   "gaussian_blur_2d: band side must be a power of two <= n");
   count_algo(ConvAlgo::kFft);
+  if (m < n) {
+    // The m x m samples' spectrum is (m/n)^2 times the field's band bins;
+    // the interpolation divides by n^2, so the samples carry (n/m)^2, an
+    // exact power of two. The m-grid pixel (n/m) * pixel_nm is exact too,
+    // so the m x m table holds the n x n table's values on the band bins.
+    const std::size_t step = n / m;
+    const auto scale = static_cast<double>(step * step);
+    std::vector<double> samples(m * m);
+    for (std::size_t y = 0; y < m; ++y) {
+      const double* row = values.data() + y * step * n;
+      for (std::size_t x = 0; x < m; ++x) samples[y * m + x] = row[x * step] * scale;
+    }
+    std::vector<Complex> spectrum = fft2d_real_forward(samples, m, m, exec);
+    const auto table = blur_table(m, sigma_nm, pixel_nm * static_cast<double>(step));
+    for (std::size_t i = 0; i < spectrum.size(); ++i) spectrum[i] *= (*table)[i];
+    std::vector<Complex> rows;
+    fourier_interpolate(spectrum, m, n, rows, values.data(), exec);
+    return;
+  }
   const auto table = blur_table(n, sigma_nm, pixel_nm);
 
   // The field is real, so the forward transform goes through the

@@ -188,13 +188,24 @@ void deconv2d_backward(const ConvPlan& plan, std::size_t batch, const float* inp
                        util::ExecContext* exec, util::Workspace& serial_ws);
 
 /// Spectral Gaussian blur of a real n x n periodic field (the litho resist
-/// diffusion step), in place. The attenuation table exp(-2 pi^2 sigma^2
-/// |f|^2) is cached in the same plan cache (keyed on n, sigma_nm and
-/// pixel_nm) instead of recomputed per call; the multiply and transform
-/// order match the historical litho::diffuse loop exactly, so results are
-/// byte-identical to it. Counts as a kFft execution.
-void gaussian_blur_2d(std::vector<double>& values, std::size_t n, double sigma_nm,
-                      double pixel_nm, util::ExecContext* exec);
+/// diffusion step), in place. `m` is the side of the band the field
+/// carries: a power of two <= n such that the field is the Fourier
+/// interpolation of its m x m samples, or n for a field with no band. The
+/// attenuation table exp(-2 pi^2 sigma^2 |f|^2) is cached in the same plan
+/// cache (keyed on grid side, sigma_nm and pixel size) instead of
+/// recomputed per call. Counts as a kFft execution.
+///
+/// For m = n the full n x n spectrum is blurred: a real forward transform,
+/// the multiply and a complex inverse, byte-identical to the historical
+/// litho::diffuse loop. For m < n the field is sampled at every (n/m)-th
+/// pixel, which is exact for band-limited periodic data; the m x m samples
+/// are transformed, attenuated by the m x m table and Fourier-interpolated
+/// back to n x n (fourier_interpolate). A Gaussian only scales each bin, so
+/// the blurred field keeps the band and the result equals the full-grid
+/// blur to rounding, at about (m/n)^2 of its forward transform work and
+/// without the n x n complex spectrum.
+void gaussian_blur_2d(std::vector<double>& values, std::size_t n, std::size_t m,
+                      double sigma_nm, double pixel_nm, util::ExecContext* exec);
 
 // --- shape helpers (shared lowering primitives) -----------------------------
 

@@ -268,6 +268,61 @@ std::vector<Complex> fft2d_real_forward(const std::vector<double>& data,
   return out;
 }
 
+void fourier_interpolate(const std::vector<Complex>& spectrum, std::size_t m,
+                         std::size_t n, std::vector<Complex>& rows, double* out,
+                         util::ExecContext* exec) {
+  LITHOGAN_REQUIRE(is_power_of_two(m) && is_power_of_two(n) && m < n,
+                   "fourier_interpolate: sides must be powers of two with m < n");
+  LITHOGAN_REQUIRE(spectrum.size() == m * m,
+                   "fourier_interpolate: spectrum size mismatch");
+  // Band line b < band is the signed bin b for b < half and b - band after
+  // it: half = ceil(m/2) lines of q >= 0, then the negative ones. m-grid
+  // bins skip the Nyquist bin m/2; on the n grid the negative half moves up
+  // by n - band. For m = 1 the band is DC alone.
+  const std::size_t half = (m + 1) / 2;
+  const std::size_t band = 2 * half - 1;
+  const auto to_m = [&](std::size_t b) { return b < half ? b : b + m - band; };
+  const auto to_n = [&](std::size_t b) { return b < half ? b : b + n - band; };
+  rows.resize(band * n);
+  util::Workspace serial_ws;
+
+  util::parallel_for(exec, serial_ws, 0, band, exec ? exec->grain_for(band) : band,
+                     fft_stage_cost(band, n),
+                     [&](std::size_t b0, std::size_t b1, util::Workspace& ws) {
+    const FftPlan& plan = fft_plan(ws, n, /*inverse=*/true);
+    for (std::size_t b = b0; b < b1; ++b) {
+      const Complex* src = spectrum.data() + to_m(b) * m;
+      Complex* row = rows.data() + b * n;
+      std::fill(row, row + n, Complex(0.0, 0.0));
+      for (std::size_t c = 0; c < band; ++c) row[to_n(c)] = src[to_m(c)];
+      fft(row, plan);
+    }
+  });
+
+  const std::size_t pairs = n / 2;
+  util::parallel_for(exec, serial_ws, 0, pairs, exec ? exec->grain_for(pairs) : pairs,
+                     fft_stage_cost(pairs, n),
+                     [&](std::size_t p0, std::size_t p1, util::Workspace& ws) {
+    const FftPlan& plan = fft_plan(ws, n, /*inverse=*/true);
+    auto& line = ws.complexes(0);
+    line.resize(n);
+    for (std::size_t p = p0; p < p1; ++p) {
+      const std::size_t c = 2 * p;
+      std::fill(line.begin(), line.end(), Complex(0.0, 0.0));
+      for (std::size_t b = 0; b < band; ++b) {
+        const Complex lo = rows[b * n + c];
+        const Complex hi = rows[b * n + c + 1];
+        line[to_n(b)] = Complex(lo.real() - hi.imag(), lo.imag() + hi.real());
+      }
+      fft(line.data(), plan);
+      for (std::size_t y = 0; y < n; ++y) {
+        out[y * n + c] = line[y].real();
+        out[y * n + c + 1] = line[y].imag();
+      }
+    }
+  });
+}
+
 std::vector<Complex> naive_dft(const std::vector<Complex>& data, bool inverse) {
   const std::size_t n = data.size();
   const double sign = inverse ? 1.0 : -1.0;

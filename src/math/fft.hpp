@@ -85,6 +85,28 @@ std::vector<Complex> fft2d_real_forward(const std::vector<double>& data,
                                         std::size_t rows, std::size_t cols,
                                         util::ExecContext* exec = nullptr);
 
+/// Fourier interpolation of a real m x m periodic image to n x n (m < n,
+/// both powers of two), from the image's m x m spectrum as
+/// fft2d_real_forward returns it. The bins with |q| < m/2 are zero-padded
+/// into the n x n spectrum and inverse-transformed into `out` (n x n,
+/// row-major). The Nyquist row and column, zero in exact arithmetic for an
+/// image whose spectrum lies strictly inside |q| < m/2, are dropped so the
+/// padded spectrum stays Hermitian; for such an image the result is exact.
+/// The inverse divides by n^2, not m^2, so `out` is (m/n)^2 times the
+/// interpolated image: callers fold the exact power of two (n/m)^2 into
+/// their data. A caller may scale the spectrum first (a filter, say), as
+/// long as it stays Hermitian.
+///
+/// The inverse is pruned. Only the band rows of the padded spectrum are
+/// nonzero, so only they are row-transformed, into the scratch `rows` (one
+/// length-n line per band row). The result is real, so the column stage
+/// transforms two columns per complex FFT: column c in the real part, c + 1
+/// in the imaginary part. Every line is independent, so both stages are
+/// bit-identical at any thread count.
+void fourier_interpolate(const std::vector<Complex>& spectrum, std::size_t m,
+                         std::size_t n, std::vector<Complex>& rows, double* out,
+                         util::ExecContext* exec = nullptr);
+
 /// Reference O(N^2) DFT used by tests to validate the FFT.
 std::vector<Complex> naive_dft(const std::vector<Complex>& data, bool inverse);
 

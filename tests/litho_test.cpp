@@ -10,6 +10,7 @@
 #include "litho/resist.hpp"
 #include "litho/simulator.hpp"
 #include "litho/source.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/rng.hpp"
@@ -457,9 +458,88 @@ TEST(Resist, NegativeSigmaRejected) {
   EXPECT_THROW(ll::diffuse(mask, -1.0), lithogan::util::InvalidArgument);
 }
 
+TEST(Resist, BandTagIsValidated) {
+  ll::FieldGrid field;
+  field.pixels = 16;
+  field.extent_nm = 128.0;
+  field.values.assign(16 * 16, 0.5);
+  for (const std::size_t bad : {3, 12, 32}) {
+    field.band_pixels = bad;
+    EXPECT_THROW(ll::diffuse(field, 10.0), lithogan::util::InvalidArgument) << bad;
+    EXPECT_THROW(ll::diffuse(field, 0.0), lithogan::util::InvalidArgument) << bad;
+  }
+  // Every power of two up to the grid side is a band; a constant field is
+  // inside all of them and blurs to itself on each.
+  for (const std::size_t m : {1, 2, 4, 16}) {
+    field.band_pixels = m;
+    const auto blurred = ll::diffuse(field, 10.0);
+    EXPECT_EQ(blurred.band_pixels, m);
+    for (const double v : blurred.values) ASSERT_NEAR(v, 0.5, 1e-12) << "m=" << m;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Full simulator
 // ---------------------------------------------------------------------------
+
+// The golden replay contract on the chip tile grid (N10, 512 px over
+// 2048 nm): Simulator::run equals aerial_image -> develop -> contours byte
+// for byte. Both reach the band blur, a dose-scaled aerial (as the PV-band
+// and process-window sweeps make) does too, and develop carries no band.
+TEST(SimulatorStages, RunEqualsStagedReplayOnTheBandPath) {
+  ll::ProcessConfig p = ll::ProcessConfig::n10();
+  p.grid.pixels = 512;
+  p.grid.extent_nm = 2048.0;
+  ll::Simulator sim(p);
+  std::vector<lg::Rect> openings;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      openings.push_back(lg::Rect::from_center({900.0 + 136.0 * i, 880.0 + 140.0 * j},
+                                               60.0, 60.0));
+    }
+  }
+  auto& registry = lithogan::obs::Registry::global();
+  const lithogan::obs::Counter& band = registry.counter("sim.diffuse_band");
+  const lithogan::obs::Counter& full = registry.counter("sim.diffuse_full");
+  const std::uint64_t band0 = band.value();
+  const std::uint64_t full0 = full.value();
+
+  const ll::SimulationResult result = sim.run(openings);
+  const ll::FieldGrid aerial = sim.aerial_image(openings);
+  const ll::FieldGrid develop = sim.develop(aerial);
+  const auto contours = sim.contours(develop);
+
+  ASSERT_EQ(aerial.band_pixels, sim.optical().imaging_pixels());
+  ASSERT_LT(aerial.band_pixels, p.grid.pixels);
+  EXPECT_EQ(result.aerial.band_pixels, aerial.band_pixels);
+  EXPECT_EQ(result.latent.band_pixels, aerial.band_pixels);
+  EXPECT_EQ(result.develop.band_pixels, 0u);
+  EXPECT_EQ(develop.band_pixels, 0u);
+  ASSERT_EQ(0, std::memcmp(result.aerial.values.data(), aerial.values.data(),
+                           aerial.values.size() * sizeof(double)));
+  ASSERT_EQ(result.develop.values.size(), develop.values.size());
+  ASSERT_EQ(0, std::memcmp(result.develop.values.data(), develop.values.data(),
+                           develop.values.size() * sizeof(double)));
+  ASSERT_FALSE(contours.empty());
+  ASSERT_EQ(result.contours.size(), contours.size());
+  for (std::size_t c = 0; c < contours.size(); ++c) {
+    const auto& a = result.contours[c].vertices();
+    const auto& b = contours[c].vertices();
+    ASSERT_EQ(a.size(), b.size()) << "contour " << c;
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(lg::Point)))
+        << "contour " << c;
+  }
+
+  ll::FieldGrid dosed = aerial;
+  for (double& v : dosed.values) v *= 1.05;
+  EXPECT_EQ(dosed.band_pixels, aerial.band_pixels);
+  EXPECT_EQ(sim.develop(dosed).band_pixels, 0u);
+  ll::ConstantThresholdResist constant(p.resist);
+  EXPECT_EQ(constant.develop(aerial).band_pixels, 0u);
+
+  EXPECT_EQ(band.value() - band0, 4u);
+  EXPECT_EQ(full.value() - full0, 0u);
+}
 
 class SimulatorTest : public ::testing::Test {
  protected:

@@ -94,6 +94,28 @@ TEST_P(DiffusionSemigroup, ComposedBlursEqualSingleBlur) {
   }
 }
 
+// The same property on a band-tagged aerial image: both compositions run
+// the blur on the aerial's imaging grid, and the composed blur keeps the tag.
+TEST_P(DiffusionSemigroup, ComposedBandBlursEqualSingleBlur) {
+  const auto [s1, s2] = GetParam();
+  auto process = litho::ProcessConfig::n10();
+  process.grid.pixels = 64;
+  process.grid.extent_nm = 512.0;
+  litho::OpticalModel optics(process.optical, process.grid);
+  const auto aerial = optics.aerial_image(litho::rasterize_mask(
+      {geometry::Rect::from_center({200.0, 260.0}, 60.0, 60.0),
+       geometry::Rect::from_center({330.0, 250.0}, 60.0, 60.0)},
+      process.grid));
+  ASSERT_GT(aerial.band_pixels, 0u);
+  ASSERT_LT(aerial.band_pixels, aerial.pixels);
+  const auto twice = litho::diffuse(litho::diffuse(aerial, s1), s2);
+  const auto once = litho::diffuse(aerial, std::sqrt(s1 * s1 + s2 * s2));
+  EXPECT_EQ(twice.band_pixels, aerial.band_pixels);
+  for (std::size_t i = 0; i < aerial.values.size(); ++i) {
+    EXPECT_NEAR(twice.values[i], once.values[i], 1e-9);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sigmas, DiffusionSemigroup,
                          ::testing::Values(std::make_pair(5.0, 12.0),
                                            std::make_pair(10.0, 10.0),

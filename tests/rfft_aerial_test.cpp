@@ -1,7 +1,8 @@
 // Equivalence tests for the fast paths of the imaging stack: the
-// real-to-complex forward FFT (math::fft2d_real_forward) and the
+// real-to-complex forward FFT (math::fft2d_real_forward), the
 // pupil-support-pruned SOCS transfer on the band-limited imaging grid in
-// litho::OpticalModel. Both must agree with the dense complex-path
+// litho::OpticalModel, and the resist blur of a band-tagged aerial on that
+// grid (litho::diffuse). All must agree with the dense full-grid
 // computation to <= 1e-12 relative error — the fast paths exploit exact
 // structure (Hermitian spectra, zeros outside the pupil, an intensity
 // spectrum inside the imaging grid's band), so any larger deviation is a
@@ -17,6 +18,7 @@
 
 #include "litho/optical.hpp"
 #include "litho/process.hpp"
+#include "litho/resist.hpp"
 #include "litho/source.hpp"
 #include "math/fft.hpp"
 #include "util/exec_context.hpp"
@@ -197,8 +199,10 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
   const litho::FieldGrid reference = dense_aerial_reference(optical, grid, mask);
 
   litho::OpticalModel model(optical, grid);
-  ASSERT_EQ(model.imaging_pixels(), kAerialGrids[grid_index].imaging_pixels);
+  const std::size_t m = kAerialGrids[grid_index].imaging_pixels;
+  ASSERT_EQ(model.imaging_pixels(), m);
   const litho::FieldGrid pruned = model.aerial_image(mask);
+  EXPECT_EQ(pruned.band_pixels, m < grid.pixels ? m : 0);
 
   double peak = 0.0;
   for (const double v : reference.values) peak = std::max(peak, std::abs(v));
@@ -209,9 +213,26 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
         << "pixel " << i;
   }
 
-  // The pruned path must also be bit-identical across thread counts. The
-  // dispatch gate is off so every kernel window and interpolation stage
-  // really fans out.
+  // The resist blur of the tagged aerial runs on its band grid and must
+  // match the full-grid blur of the same values with the tag cleared.
+  constexpr double kSigmaNm = 15.0;
+  litho::FieldGrid untagged = pruned;
+  untagged.band_pixels = 0;
+  const litho::FieldGrid full_blur = litho::diffuse(untagged, kSigmaNm);
+  const litho::FieldGrid band_blur = litho::diffuse(pruned, kSigmaNm);
+  EXPECT_EQ(band_blur.band_pixels, pruned.band_pixels);
+  double blur_peak = 0.0;
+  for (const double v : full_blur.values) blur_peak = std::max(blur_peak, std::abs(v));
+  ASSERT_GT(blur_peak, 0.0);
+  ASSERT_EQ(band_blur.values.size(), full_blur.values.size());
+  for (std::size_t i = 0; i < full_blur.values.size(); ++i) {
+    ASSERT_LE(std::abs(band_blur.values[i] - full_blur.values[i]), 1e-12 * blur_peak)
+        << "blurred pixel " << i;
+  }
+
+  // The pruned aerial and its blur must also be bit-identical across thread
+  // counts. The dispatch gate is off so every kernel window, transform and
+  // interpolation stage really fans out.
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     util::ExecContext exec(threads);
     exec.pool().set_dispatch_cost(0);
@@ -220,6 +241,10 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
     ASSERT_EQ(0, std::memcmp(pruned.values.data(), parallel.values.data(),
                              pruned.values.size() * sizeof(double)))
         << "threads=" << threads;
+    const litho::FieldGrid parallel_blur = litho::diffuse(parallel, kSigmaNm, &exec);
+    ASSERT_EQ(0, std::memcmp(band_blur.values.data(), parallel_blur.values.data(),
+                             band_blur.values.size() * sizeof(double)))
+        << "blur threads=" << threads;
   }
 }
 
