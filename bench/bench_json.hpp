@@ -14,10 +14,9 @@
 // block pins what machine a trajectory was measured on, so cross-machine
 // diffs are recognizable as such. A trailing "metrics" block snapshots the
 // process-wide obs::Registry counters that explain perf deltas: FFT and
-// conv plan cache hits/misses, the conv engine's per-algorithm execution
-// mix (conv.algo.*), the thread pool's inline-vs-dispatch decisions, and
-// trace-ring wraparound losses (trace.spans_dropped) so a bench run that
-// overflowed its span rings is visibly flagged.
+// conv plan cache hits/misses, the thread pool's inline-vs-dispatch
+// decisions, and trace-ring wraparound losses (trace.spans_dropped) so a
+// bench run that overflowed its span rings is visibly flagged.
 #pragma once
 
 #include <cstdio>
@@ -203,8 +202,7 @@ inline bool write_bench_json(const std::string& path,
   std::fprintf(f,
                "  \"metrics\": {\"fft.plan_cache.hit\": %llu, "
                "\"fft.plan_cache.miss\": %llu, \"conv.plan_cache.hit\": %llu, "
-               "\"conv.plan_cache.miss\": %llu, \"conv.algo.im2col\": %llu, "
-               "\"conv.algo.direct\": %llu, \"conv.algo.fft\": %llu, "
+               "\"conv.plan_cache.miss\": %llu, "
                "\"threadpool.jobs_inlined\": %llu, "
                "\"threadpool.jobs_dispatched\": %llu, "
                "\"trace.spans_dropped\": %llu, "
@@ -213,9 +211,6 @@ inline bool write_bench_json(const std::string& path,
                static_cast<unsigned long long>(reg.counter_value("fft.plan_cache.miss")),
                static_cast<unsigned long long>(reg.counter_value("conv.plan_cache.hit")),
                static_cast<unsigned long long>(reg.counter_value("conv.plan_cache.miss")),
-               static_cast<unsigned long long>(reg.counter_value("conv.algo.im2col")),
-               static_cast<unsigned long long>(reg.counter_value("conv.algo.direct")),
-               static_cast<unsigned long long>(reg.counter_value("conv.algo.fft")),
                static_cast<unsigned long long>(reg.counter_value("threadpool.jobs_inlined")),
                static_cast<unsigned long long>(
                    reg.counter_value("threadpool.jobs_dispatched")),

@@ -25,7 +25,6 @@
 #include "nn/tensor.hpp"
 #include "util/exec_context.hpp"
 #include "util/rng.hpp"
-#include "util/workspace.hpp"
 
 using namespace lithogan;
 
@@ -129,86 +128,6 @@ static void BM_DeconvForward(benchmark::State& state) {
   set_flops_counter(state, 4.0 * 2.0 * (16.0 * 25.0) * cols * 32.0);
 }
 BENCHMARK(BM_DeconvForward)->ArgsProduct({{16, 32}, {0, 1, 2, 4, 8}});
-
-/// Conv-engine benchmark: runs one forward conv through a math::conv plan.
-/// `algo` < 0 lets the cost model choose (the record's label carries what it
-/// picked); >= 0 forces that ConvAlgo, so BENCH_micro_nn.json holds a
-/// per-algorithm record for every shape and the model's choice can be
-/// checked against the forced-im2col baseline on the same shape. Captures
-/// below pick shapes where each non-GEMM algorithm should win: a 1x1
-/// (direct == plain GEMM, no packing), a small-channel 5x5 (direct tap
-/// loop) and a large-kernel blur (fft).
-static void BM_ConvEngine(benchmark::State& state, std::size_t in_c, std::size_t hw,
-                          std::size_t out_c, std::size_t k, std::size_t stride,
-                          std::size_t pad, int algo) {
-  const auto exec = make_exec(state.range(0));
-  math::ConvKey key;
-  key.in_c = in_c;
-  key.in_h = hw;
-  key.in_w = hw;
-  key.out_c = out_c;
-  key.kernel = k;
-  key.stride = stride;
-  key.pad = pad;
-  key.threads = exec ? exec->threads() : 1;
-  const auto plan = algo < 0 ? math::conv_plan(key)
-                             : math::conv_plan(key, static_cast<math::ConvAlgo>(algo));
-  state.SetLabel(math::conv_algo_name(plan->algo));
-
-  util::Rng rng(7);
-  const std::size_t batch = 4;
-  std::vector<float> src(batch * in_c * hw * hw);
-  std::vector<float> weights(out_c * in_c * k * k);
-  std::vector<float> bias(out_c);
-  for (auto& v : src) v = static_cast<float>(rng.uniform(-1, 1));
-  for (auto& v : weights) v = static_cast<float>(rng.uniform(-1, 1));
-  math::Epilogue epi;
-  epi.bias = bias.data();
-  epi.bias_per_row = true;
-  epi.act = math::Activation::kLeakyRelu;
-
-  std::vector<float> dst(batch * out_c * plan->out_h * plan->out_w);
-  util::Workspace ws;
-  // One warm call outside timing: first-touch of dst/scratch pages and any
-  // FFT twiddle build must not land in the first measured config.
-  math::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
-                       dst.data(), exec.get(), ws);
-  for (auto _ : state) {
-    math::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
-                         dst.data(), exec.get(), ws);
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.counters["threads"] =
-      benchmark::Counter(static_cast<double>(std::max<std::int64_t>(1, state.range(0))));
-  // GEMM-equivalent multiply-adds, so gflops_per_s is comparable across
-  // algorithms on the same shape (fft does different arithmetic; its
-  // "effective" GF/s against this count is exactly the point).
-  set_flops_counter(state, static_cast<double>(batch) * 2.0 *
-                               static_cast<double>(out_c) *
-                               static_cast<double>(plan->rows) *
-                               static_cast<double>(plan->cols));
-}
-// 1x1 projection: direct is the column matrix IS the input, no packing.
-BENCHMARK_CAPTURE(BM_ConvEngine, conv1x1_plan, 64, 32, 64, 1, 1, 0, -1)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, conv1x1_im2col, 64, 32, 64, 1, 1, 0, 0)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, conv1x1_direct, 64, 32, 64, 1, 1, 0, 1)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-// Small-channel 5x5: the direct tap loop skips the 25-fold im2col blowup.
-BENCHMARK_CAPTURE(BM_ConvEngine, smallch5x5_plan, 2, 64, 4, 5, 1, 2, -1)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, smallch5x5_im2col, 2, 64, 4, 5, 1, 2, 0)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, smallch5x5_direct, 2, 64, 4, 5, 1, 2, 1)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-// Large-kernel single-channel blur: spectral convolution's home turf.
-BENCHMARK_CAPTURE(BM_ConvEngine, largek63_plan, 1, 128, 1, 63, 1, 31, -1)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, largek63_im2col, 1, 128, 1, 63, 1, 31, 0)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
-BENCHMARK_CAPTURE(BM_ConvEngine, largek63_fft, 1, 128, 1, 63, 1, 31, 2)
-    ->ArgsProduct({{0, 1, 2, 4, 8}});
 
 static void BM_GeneratorInference(benchmark::State& state) {
   // The lite-scale generator used by the experiment harnesses.

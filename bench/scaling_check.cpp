@@ -114,8 +114,8 @@ int main() {
   infer_plan.compile(infer_net, {4, 32, 32});
   const auto infer_x = nn::Tensor::randn({8, 4, 32, 32}, rng);
 
-  // Conv engine via a cost-model plan (batch 8, 3->64 at 64x64): the
-  // engine's own two-level dispatch — batch-parallel outer, serial inner —
+  // Conv engine via its plan (batch 8, 3->64 at 64x64): the engine's own
+  // two-level dispatch — batch-parallel outer, serial inner —
   // exercised directly at the math layer rather than through a module.
   const std::size_t ce_in_c = 3, ce_hw = 64, ce_out_c = 64, ce_k = 5;
   math::ConvKey ce_key;

@@ -1,9 +1,15 @@
 #include "litho/resist.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <numbers>
+#include <tuple>
 
-#include "math/conv.hpp"
 #include "math/fft.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,6 +18,107 @@
 
 namespace lithogan::litho {
 
+namespace {
+
+/// Cached spectral attenuation table exp(-2 pi^2 sigma^2 |f|^2) on an n x n
+/// grid (the band grid for a band blur), keyed on n and the exact double
+/// bits of sigma and pixel size. Lookups count on fft.plan_cache.{hit,miss}.
+using BlurKey = std::tuple<std::size_t, std::uint64_t, std::uint64_t>;
+
+std::shared_ptr<const std::vector<double>> blur_table(std::size_t n, double sigma_nm,
+                                                      double pixel_nm) {
+  static obs::Counter& hits = obs::Registry::global().counter("fft.plan_cache.hit");
+  static obs::Counter& misses = obs::Registry::global().counter("fft.plan_cache.miss");
+  static std::mutex mutex;
+  static std::map<BlurKey, std::shared_ptr<const std::vector<double>>> cache;
+  const BlurKey key{n, std::bit_cast<std::uint64_t>(sigma_nm),
+                    std::bit_cast<std::uint64_t>(pixel_nm)};
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto& slot = cache[key];
+  if (slot) {
+    hits.add();
+    return slot;
+  }
+  misses.add();
+  const auto bin_freq = [&](std::size_t i) {
+    const auto si = static_cast<std::ptrdiff_t>(i);
+    // Bins [0, ceil(n/2)) are non-negative (bin 0 alone when n = 1).
+    const auto half = static_cast<std::ptrdiff_t>((n + 1) / 2);
+    const std::ptrdiff_t signed_i =
+        si < half ? si : si - static_cast<std::ptrdiff_t>(n);
+    return static_cast<double>(signed_i) / (static_cast<double>(n) * pixel_nm);
+  };
+  const double c = 2.0 * std::numbers::pi * std::numbers::pi * sigma_nm * sigma_nm;
+  auto table = std::make_shared<std::vector<double>>(n * n);
+  for (std::size_t iy = 0; iy < n; ++iy) {
+    const double fy = bin_freq(iy);
+    for (std::size_t ix = 0; ix < n; ++ix) {
+      const double fx = bin_freq(ix);
+      (*table)[iy * n + ix] = std::exp(-c * (fx * fx + fy * fy));
+    }
+  }
+  slot = std::move(table);
+  return slot;
+}
+
+/// Spectral Gaussian blur of a real n x n periodic field, in place. `m` is
+/// the side of the band the field carries: a power of two <= n such that
+/// the field is the Fourier interpolation of its m x m samples, or n for a
+/// field with no band.
+///
+/// For m = n the full n x n spectrum is blurred: a real forward transform,
+/// the multiply and a complex inverse. For m < n the field is sampled at
+/// every (n/m)-th pixel, which is exact for band-limited periodic data; the
+/// m x m samples are transformed, attenuated by the m x m table and
+/// Fourier-interpolated back to n x n (math::fourier_interpolate). A
+/// Gaussian only scales each bin, so the blurred field keeps the band and
+/// the result equals the full-grid blur to rounding, at about (m/n)^2 of
+/// its forward transform work and without the n x n complex spectrum.
+void gaussian_blur_2d(std::vector<double>& values, std::size_t n, std::size_t m,
+                      double sigma_nm, double pixel_nm, util::ExecContext* exec) {
+  LITHOGAN_REQUIRE(values.size() == n * n, "gaussian_blur_2d: size mismatch");
+  LITHOGAN_REQUIRE(math::is_power_of_two(m) && m <= n,
+                   "gaussian_blur_2d: band side must be a power of two <= n");
+  if (m < n) {
+    // The m x m samples' spectrum is (m/n)^2 times the field's band bins;
+    // the interpolation divides by n^2, so the samples carry (n/m)^2, an
+    // exact power of two. The m-grid pixel (n/m) * pixel_nm is exact too,
+    // so the m x m table holds the n x n table's values on the band bins.
+    const std::size_t step = n / m;
+    const auto scale = static_cast<double>(step * step);
+    std::vector<double> samples(m * m);
+    for (std::size_t y = 0; y < m; ++y) {
+      const double* row = values.data() + y * step * n;
+      for (std::size_t x = 0; x < m; ++x) samples[y * m + x] = row[x * step] * scale;
+    }
+    std::vector<math::Complex> spectrum = math::fft2d_real_forward(samples, m, m, exec);
+    const auto table = blur_table(m, sigma_nm, pixel_nm * static_cast<double>(step));
+    for (std::size_t i = 0; i < spectrum.size(); ++i) spectrum[i] *= (*table)[i];
+    std::vector<math::Complex> rows;
+    math::fourier_interpolate(spectrum, m, n, rows, values.data(), exec);
+    return;
+  }
+  const auto table = blur_table(n, sigma_nm, pixel_nm);
+
+  // The field is real, so the forward transform goes through the
+  // Hermitian-symmetric real-to-complex path (half the 1-D FFT work).
+  std::vector<math::Complex> spectrum = math::fft2d_real_forward(values, n, n, exec);
+  const double* att = table->data();
+  util::Workspace serial_ws;
+  util::parallel_for(exec, serial_ws, 0, n, exec ? exec->grain_for(n) : n, n * n * 8,
+                     [&](std::size_t y0, std::size_t y1, util::Workspace&) {
+                       for (std::size_t iy = y0; iy < y1; ++iy) {
+                         for (std::size_t ix = 0; ix < n; ++ix) {
+                           spectrum[iy * n + ix] *= att[iy * n + ix];
+                         }
+                       }
+                     });
+  math::fft2d(spectrum, n, n, /*inverse=*/true, exec);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = spectrum[i].real();
+}
+
+}  // namespace
+
 FieldGrid diffuse(const FieldGrid& field, double sigma_nm, util::ExecContext* exec) {
   LITHOGAN_REQUIRE(sigma_nm >= 0.0, "diffusion sigma negative");
   const std::size_t band = field.band_pixels;
@@ -19,14 +126,13 @@ FieldGrid diffuse(const FieldGrid& field, double sigma_nm, util::ExecContext* ex
                    "field band must be 0 or a power of two <= its pixels");
   if (sigma_nm == 0.0) return field;
   const obs::Span span("sim.diffuse");
-  // Spectral Gaussian blur via the conv engine, on the band grid when the
-  // field carries one (see math::gaussian_blur_2d).
+  // Spectral Gaussian blur, on the band grid when the field carries one.
   static obs::Counter& band_blurs = obs::Registry::global().counter("sim.diffuse_band");
   static obs::Counter& full_blurs = obs::Registry::global().counter("sim.diffuse_full");
   const std::size_t m = band == 0 ? field.pixels : band;
   (m < field.pixels ? band_blurs : full_blurs).add();
   FieldGrid out = field;
-  math::gaussian_blur_2d(out.values, field.pixels, m, sigma_nm, field.pixel_nm(), exec);
+  gaussian_blur_2d(out.values, field.pixels, m, sigma_nm, field.pixel_nm(), exec);
   return out;
 }
 

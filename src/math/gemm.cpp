@@ -706,10 +706,6 @@ void pack_a_full(std::size_t m, std::size_t k, const float* a, std::size_t lda,
 
 }  // namespace
 
-void apply_epilogue(std::size_t m, std::size_t n, float* c, const Epilogue& epi) {
-  epilogue_sweep(m, n, c, epi);
-}
-
 std::size_t gemm_nr() { return kNr; }
 
 const char* simd_level() {

@@ -82,12 +82,6 @@ struct Epilogue {
   bool trivial() const { return bias == nullptr && act == Activation::kIdentity; }
 };
 
-/// Standalone epilogue sweep over a row-major C (m x n): bias broadcast
-/// then activation, with the exact scalar formulas the fused kernels use.
-/// Lets non-GEMM writebacks (direct/FFT conv paths) round identically to a
-/// fused GEMM producing the same accumulator values.
-void apply_epilogue(std::size_t m, std::size_t n, float* c, const Epilogue& epi);
-
 /// gemm_packed with a fused epilogue (A packed on the fly per call — the
 /// per-sample activations path, e.g. Linear where A is the input batch).
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,

@@ -2,7 +2,6 @@
 
 #include "math/conv.hpp"
 #include "util/error.hpp"
-#include "util/exec_context.hpp"
 #include "util/rng.hpp"
 
 namespace lithogan::nn {
@@ -23,10 +22,6 @@ constexpr std::size_t kBgradSlot = 3;
 // the reduction is bit-identical to the seed's sequential accumulation.
 void accumulate(float* acc, const float* contribution, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) acc[i] += contribution[i];
-}
-
-std::size_t thread_budget(util::ExecContext* exec) {
-  return exec != nullptr ? exec->threads() : 1;
 }
 }  // namespace
 
@@ -54,13 +49,11 @@ Tensor Conv2d::forward(const Tensor& input) {
   input_ = grad_enabled_ ? input : Tensor();
   const std::size_t batch = input.dim(0);
 
-  // Per-shape plan from the engine's process-wide cache; the algorithm is a
-  // pure function of the geometry, so repeated steps pay one lookup.
-  const math::ConvKey key{math::ConvDir::kForward, in_channels_, input.dim(2),
-                          input.dim(3),            out_channels_, kernel_,
-                          stride_,                 pad_,          1,
-                          0,                       false,         thread_budget(exec_)};
-  const auto plan = math::conv_plan(key);
+  // Per-shape plan from the engine's process-wide cache, shared with
+  // backward and with any InferencePlan compiled from this layer.
+  const auto plan = math::conv_plan({math::ConvDir::kConv, in_channels_, input.dim(2),
+                                     input.dim(3), out_channels_, kernel_, stride_,
+                                     pad_, 0});
 
   Tensor output({batch, out_channels_, plan->out_h, plan->out_w});
   math::Epilogue epi;
@@ -74,21 +67,17 @@ Tensor Conv2d::forward(const Tensor& input) {
 Tensor Conv2d::backward(const Tensor& grad_output) {
   LITHOGAN_REQUIRE(!input_.empty(), "Conv2d::backward before forward");
   const std::size_t batch = input_.dim(0);
-  math::ConvKey key{math::ConvDir::kBwdData, in_channels_, input_.dim(2),
-                    input_.dim(3),           out_channels_, kernel_,
-                    stride_,                 pad_,          1,
-                    0,                       false,         thread_budget(exec_)};
-  const auto data_plan = math::conv_plan(key);
-  key.dir = math::ConvDir::kBwdWeight;
-  const auto weight_plan = math::conv_plan(key);
+  const auto plan = math::conv_plan({math::ConvDir::kConv, in_channels_, input_.dim(2),
+                                     input_.dim(3), out_channels_, kernel_, stride_,
+                                     pad_, 0});
   LITHOGAN_REQUIRE(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
                        grad_output.dim(1) == out_channels_ &&
-                       grad_output.dim(2) == data_plan->out_h &&
-                       grad_output.dim(3) == data_plan->out_w,
+                       grad_output.dim(2) == plan->out_h &&
+                       grad_output.dim(3) == plan->out_w,
                    "Conv2d grad shape " + grad_output.shape_string());
 
   Tensor grad_input(input_.shape());
-  const std::size_t wgrad_size = out_channels_ * data_plan->rows;
+  const std::size_t wgrad_size = out_channels_ * plan->rows;
   // Per-sample weight/bias gradient partials, reduced in sample order below
   // so the result is independent of how samples were scheduled.
   auto& wgrad_partials = arena_.floats(kWgradSlot);
@@ -96,9 +85,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   wgrad_partials.resize(batch * wgrad_size);
   bgrad_partials.resize(batch * out_channels_);
 
-  math::conv2d_backward(*data_plan, *weight_plan, batch, input_.raw(),
-                        grad_output.raw(), weight_.value.raw(), grad_input.raw(),
-                        wgrad_partials.data(), bgrad_partials.data(), exec_, arena_);
+  math::conv2d_backward(*plan, batch, input_.raw(), grad_output.raw(),
+                        weight_.value.raw(), grad_input.raw(), wgrad_partials.data(),
+                        bgrad_partials.data(), exec_, arena_);
 
   for (std::size_t n = 0; n < batch; ++n) {
     accumulate(weight_.grad.raw(), wgrad_partials.data() + n * wgrad_size, wgrad_size);
@@ -132,12 +121,9 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
   input_ = grad_enabled_ ? input : Tensor();
   const std::size_t batch = input.dim(0);
 
-  const math::ConvKey key{math::ConvDir::kDeconvForward, in_channels_, input.dim(2),
-                          input.dim(3),                  out_channels_, kernel_,
-                          stride_,                       pad_,          1,
-                          output_pad_,                   false,
-                          thread_budget(exec_)};
-  const auto plan = math::conv_plan(key);
+  const auto plan = math::conv_plan({math::ConvDir::kDeconv, in_channels_, input.dim(2),
+                                     input.dim(3), out_channels_, kernel_, stride_,
+                                     pad_, output_pad_});
   out_h_ = plan->out_h;
   out_w_ = plan->out_w;
 
@@ -153,12 +139,9 @@ Tensor ConvTranspose2d::forward(const Tensor& input) {
 Tensor ConvTranspose2d::backward(const Tensor& grad_output) {
   LITHOGAN_REQUIRE(!input_.empty(), "ConvTranspose2d::backward before forward");
   const std::size_t batch = input_.dim(0);
-  const math::ConvKey key{math::ConvDir::kDeconvBackward, in_channels_, input_.dim(2),
-                          input_.dim(3),                  out_channels_, kernel_,
-                          stride_,                        pad_,          1,
-                          output_pad_,                    false,
-                          thread_budget(exec_)};
-  const auto plan = math::conv_plan(key);
+  const auto plan = math::conv_plan({math::ConvDir::kDeconv, in_channels_, input_.dim(2),
+                                     input_.dim(3), out_channels_, kernel_, stride_,
+                                     pad_, output_pad_});
   LITHOGAN_REQUIRE(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
                        grad_output.dim(1) == out_channels_ &&
                        grad_output.dim(2) == out_h_ && grad_output.dim(3) == out_w_,

@@ -60,10 +60,7 @@ void reject_reduced_precision_env() {
 
 std::size_t InferencePlan::weight_bytes() const {
   std::size_t bytes = 0;
-  for (const Step& s : steps_) {
-    bytes += s.conv_w.weight_bytes();
-    bytes += s.packed_w.size() * sizeof(float);
-  }
+  for (const Step& s : steps_) bytes += s.packed_w.size() * sizeof(float);
   return bytes;
 }
 
@@ -130,16 +127,13 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     s.stride = conv->stride();
     s.pad = conv->pad();
     s.out_c = conv->out_channels();
-    // Resolve the engine plan (threads=1: the thread budget never changes
-    // the algorithm, and exec may be attached after compile) and snapshot
-    // the weights prepacked in the chosen algorithm's layout.
-    const math::ConvKey key{math::ConvDir::kForward, s.in_c,   s.in_h, s.in_w,
-                            s.out_c,                 s.kernel, s.stride, s.pad,
-                            1,                       0,        true,     1};
-    s.conv = math::conv_plan(key);
+    // Resolve the engine plan and snapshot the weights prepacked into GEMM
+    // A panels.
+    s.conv = math::conv_plan({math::ConvDir::kConv, s.in_c, s.in_h, s.in_w, s.out_c,
+                              s.kernel, s.stride, s.pad, 0});
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, conv->weight().raw());
+    s.packed_w = math::pack_conv_weights(*s.conv, conv->weight().raw());
     s.bias.assign(conv->bias().raw(), conv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -165,22 +159,11 @@ InferencePlan::BufId InferencePlan::add_module(Module& layer, BufId in) {
     // Engine plan (validates the adjoint geometry) + prepacked weights:
     // the deconv GEMM is Col = W^T * X, so the (in, out*k*k) weight packs
     // as the transposed A operand once instead of per call.
-    const math::ConvKey key{math::ConvDir::kDeconvForward,
-                            s.in_c,
-                            s.in_h,
-                            s.in_w,
-                            s.out_c,
-                            s.kernel,
-                            s.stride,
-                            s.pad,
-                            1,
-                            deconv->output_pad(),
-                            true,
-                            1};
-    s.conv = math::conv_plan(key);
+    s.conv = math::conv_plan({math::ConvDir::kDeconv, s.in_c, s.in_h, s.in_w, s.out_c,
+                              s.kernel, s.stride, s.pad, deconv->output_pad()});
     s.out_h = s.conv->out_h;
     s.out_w = s.conv->out_w;
-    s.conv_w = math::pack_conv_weights(*s.conv, deconv->weight().raw());
+    s.packed_w = math::pack_conv_weights(*s.conv, deconv->weight().raw());
     s.bias.assign(deconv->bias().raw(), deconv->bias().raw() + s.out_c);
     s.out = new_buffer({s.out_c, s.out_h, s.out_w});
     s.in_elems = buffers_[in].sample_elems;
@@ -475,7 +458,8 @@ void InferencePlan::run_conv(const Step& s, std::size_t batch, const float* src,
   epi.bias_per_row = true;
   epi.act = s.act;
   epi.slope = s.slope;
-  math::conv2d_forward(*s.conv, batch, src, nullptr, &s.conv_w, epi, dst, exec_, ws_);
+  math::conv2d_forward(*s.conv, batch, src, nullptr, s.packed_w.data(), epi, dst, exec_,
+                       ws_);
 }
 
 void InferencePlan::run_deconv(const Step& s, std::size_t batch, const float* src,
@@ -485,8 +469,8 @@ void InferencePlan::run_deconv(const Step& s, std::size_t batch, const float* sr
   epi.bias_per_row = true;
   epi.act = s.act;
   epi.slope = s.slope;
-  math::deconv2d_forward(*s.conv, batch, src, nullptr, &s.conv_w, epi, dst, exec_,
-                         ws_);
+  math::deconv2d_forward(*s.conv, batch, src, nullptr, s.packed_w.data(), epi, dst,
+                         exec_, ws_);
 }
 
 void InferencePlan::run_linear(const Step& s, std::size_t batch, const float* src,
@@ -706,19 +690,18 @@ std::string InferencePlan::plan_dump() const {
         name = "concat";
         break;
     }
-    // Weight-bearing steps report their packed byte footprint.
     os << "step " << i << ": " << name;
     if (s.op == Op::kConv || s.op == Op::kDeconv) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w << " -> " << s.out_c << 'x'
          << s.out_h << 'x' << s.out_w << " k" << s.kernel << " s" << s.stride << " p"
-         << s.pad << " algo=" << math::conv_algo_name(s.conv->algo)
-         << " bytes=" << s.conv_w.weight_bytes();
+         << s.pad;
     } else if (s.op == Op::kLinear) {
-      os << ' ' << s.in_c << " -> " << s.out_c
-         << " bytes=" << s.packed_w.size() * sizeof(float);
+      os << ' ' << s.in_c << " -> " << s.out_c;
     } else if (s.op != Op::kActivation) {
       os << ' ' << s.in_c << 'x' << s.in_h << 'x' << s.in_w;
     }
+    // Weight-bearing steps report their packed byte footprint.
+    if (!s.packed_w.empty()) os << " bytes=" << s.packed_w.size() * sizeof(float);
     if (s.act != math::Activation::kIdentity) {
       const char* act = s.act == math::Activation::kRelu        ? "relu"
                         : s.act == math::Activation::kLeakyRelu ? "leaky_relu"

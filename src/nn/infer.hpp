@@ -6,11 +6,10 @@
 // runs bias/activation as separate sweeps. The plan walks a network once at
 // load time and compiles it into a flat step program:
 //
-//   * every conv / deconv step resolves a math::conv engine plan (which
-//     bakes the algorithm choice — im2col / direct / fft — into the step;
-//     see plan_dump()) and prepacks its weights in the layout that
-//     algorithm wants, exactly once; linear weights pre-pack into GEMM
-//     panels (math::pack_b_t) the same way;
+//   * every conv / deconv step resolves its math::conv engine plan (the
+//     cache entry the layer's module forward and backward use too) and
+//     prepacks its weights into GEMM A panels exactly once; linear weights
+//     pre-pack into GEMM panels (math::pack_b_t) the same way;
 //   * a conv/linear immediately followed by an activation has bias +
 //     activation fused into the GEMM epilogue (math::Epilogue); a batchnorm
 //     absorbs it into its per-channel affine sweep; a deconv fuses bias +
@@ -115,10 +114,8 @@ class InferencePlan {
   };
   ArenaStats arena_stats() const;
 
-  /// Human-readable step listing: one line per step with its geometry and,
-  /// for conv/deconv steps, the engine algorithm the plan baked in
-  /// (`algo=im2col|direct|fft`) — so a bit-identity failure is attributable
-  /// to a specific step's algorithm choice.
+  /// Human-readable step listing: one line per step with its geometry, fused
+  /// activation and, for weight-bearing steps, packed weight bytes.
   std::string plan_dump() const;
 
   bool finalized() const { return finalized_; }
@@ -143,13 +140,11 @@ class InferencePlan {
     float slope = 0.2f;
     std::size_t act_cost = 2;  ///< dispatch-cost ops/elem hint (standalone act)
     // Plan-owned constants.
-    std::vector<float> packed_w;  ///< pre-packed weight panels (linear)
+    std::vector<float> packed_w;  ///< pre-packed weight panels (conv, deconv, linear)
     std::vector<float> bias;
     std::vector<float> bn_mean, bn_inv_std, bn_gamma, bn_beta;
-    // Conv/deconv steps: the engine plan (algorithm choice, geometry,
-    // gather tables) and the weights prepacked in that algorithm's layout.
+    /// Conv/deconv steps: the engine plan (geometry, gather tables).
     std::shared_ptr<const math::ConvPlan> conv;
-    math::PackedConvWeights conv_w;
   };
 
   struct BufferInfo {

@@ -1,24 +1,18 @@
 // Convolution-engine gates (math/conv.hpp):
 //
-//   * every algorithm a geometry admits (im2col / direct / fft, via the
-//     forced-plan overload) agrees with a naive double-accumulated
-//     cross-correlation reference within tolerance on prime/odd shapes;
-//   * each algorithm is individually bit-identical across thread counts
-//     (serial, 1, 2 and 8) and between raw and prepacked weights;
+//   * the im2col-GEMM forward and the deconv gather agree with naive
+//     double-accumulated references within tolerance on prime/odd shapes;
+//   * the forward is bit-identical across thread counts (serial, 1, 2 and
+//     8) and between raw and prepacked weights;
 //   * the plan cache actually reuses plans (conv.plan_cache.{hit,miss}
-//     counter deltas plus shared_ptr identity);
-//   * LITHOGAN_CONV_ALGO forces an algorithm where it is a candidate and
-//     falls back to the cost model where it is not;
-//   * algorithm selection is a function of geometry + direction only —
-//     keys differing in `prepacked` or `threads` pick the same algorithm.
+//     counter deltas plus shared_ptr identity).
 //
 // Tier2-labelled: `ctest -L tier2` under -DLITHOGAN_SANITIZE=address|thread
-// sweeps the engine's packing and spectral scratch paths with sanitizers.
+// sweeps the engine's packing paths with sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -167,26 +161,15 @@ struct Geometry {
   std::size_t in_c, h, w, out_c, k, stride, pad;
 };
 
-// Runs the forced-`algo` forward plan for `g` over `batch` samples.
-std::vector<float> run_forward(const Geometry& g, lm::ConvAlgo algo, std::size_t batch,
+// Runs the forward plan for `g` over `batch` samples.
+std::vector<float> run_forward(const Geometry& g, std::size_t batch,
                                const std::vector<float>& src,
                                const std::vector<float>& weights,
                                const std::vector<float>& bias, lm::Activation act,
                                float slope, lu::ExecContext* exec,
                                bool use_prepacked = false) {
-  lm::ConvKey key;
-  key.dir = lm::ConvDir::kForward;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  key.prepacked = use_prepacked;
-  key.threads = exec != nullptr ? exec->threads() : 1;
-  const auto plan = lm::conv_plan(key, algo);
-  EXPECT_EQ(plan->algo, algo);
+  const auto plan = lm::conv_plan(
+      {lm::ConvDir::kConv, g.in_c, g.h, g.w, g.out_c, g.k, g.stride, g.pad, 0});
 
   lm::Epilogue epi;
   epi.bias = bias.data();
@@ -197,9 +180,9 @@ std::vector<float> run_forward(const Geometry& g, lm::ConvAlgo algo, std::size_t
   std::vector<float> dst(batch * g.out_c * plan->out_h * plan->out_w);
   lu::Workspace ws;
   if (use_prepacked) {
-    const lm::PackedConvWeights packed = lm::pack_conv_weights(*plan, weights.data());
-    lm::conv2d_forward(*plan, batch, src.data(), nullptr, &packed, epi, dst.data(),
-                       exec, ws);
+    const std::vector<float> packed = lm::pack_conv_weights(*plan, weights.data());
+    lm::conv2d_forward(*plan, batch, src.data(), nullptr, packed.data(), epi,
+                       dst.data(), exec, ws);
   } else {
     lm::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
                        dst.data(), exec, ws);
@@ -209,16 +192,17 @@ std::vector<float> run_forward(const Geometry& g, lm::ConvAlgo algo, std::size_t
 
 }  // namespace
 
-// Every algorithm the geometry admits must agree with the naive reference.
-// Shapes use prime/odd extents so no tile or power-of-two boundary lines up
-// by accident; the fused bias + leaky-ReLU epilogue rides along everywhere.
-TEST(ConvEngine, AllAlgorithmsMatchNaiveReferenceOnPrimeShapes) {
+// The forward must agree with the naive reference. Shapes use prime/odd
+// extents so no tile or power-of-two boundary lines up by accident; the
+// fused bias + leaky-ReLU epilogue rides along everywhere.
+TEST(ConvEngine, ForwardMatchesNaiveReferenceOnPrimeShapes) {
   const Geometry geoms[] = {
-      {3, 17, 13, 5, 5, 1, 2},  // im2col + direct + fft candidates
-      {2, 11, 11, 7, 3, 1, 1},  // small channels, odd grid
-      {4, 13, 17, 6, 5, 2, 2},  // strided: im2col + fft
-      {5, 7, 7, 3, 1, 1, 0},    // 1x1: im2col + direct (same GEMM operands)
-      {1, 29, 29, 1, 11, 1, 5},  // large kernel, fft's home turf
+      {3, 17, 13, 5, 5, 1, 2},   // few output channels
+      {2, 11, 11, 7, 3, 1, 1},   // small channels, odd grid
+      {4, 13, 17, 6, 5, 2, 2},   // strided
+      {5, 7, 7, 3, 1, 1, 0},     // 1x1
+      {1, 29, 29, 1, 11, 1, 5},  // large kernel
+      {48, 8, 8, 1, 5, 1, 2},    // PatchGAN discriminator head
   };
   for (const Geometry& g : geoms) {
     const std::vector<float> src = synth_vec(g.in_c * g.h * g.w, 11);
@@ -227,26 +211,11 @@ TEST(ConvEngine, AllAlgorithmsMatchNaiveReferenceOnPrimeShapes) {
     const std::vector<double> want =
         naive_conv(src, g.in_c, g.h, g.w, weights, g.out_c, g.k, g.stride, g.pad,
                    bias, lm::Activation::kLeakyRelu, 0.2f);
-
-    lm::ConvKey key;
-    key.in_c = g.in_c;
-    key.in_h = g.h;
-    key.in_w = g.w;
-    key.out_c = g.out_c;
-    key.kernel = g.k;
-    key.stride = g.stride;
-    key.pad = g.pad;
-    const std::vector<lm::ConvAlgo> algos = lm::conv_algo_candidates(key);
-    ASSERT_FALSE(algos.empty());
-    for (const lm::ConvAlgo algo : algos) {
-      const std::vector<float> got =
-          run_forward(g, algo, 1, src, weights, bias, lm::Activation::kLeakyRelu,
-                      0.2f, nullptr);
-      // fft accumulates in the double spectral domain, direct/im2col in
-      // float — both comfortably inside 1e-4 of the double reference at
-      // these magnitudes.
-      expect_close(got, want, 1e-4, lm::conv_algo_name(algo));
-    }
+    const std::vector<float> got = run_forward(
+        g, 1, src, weights, bias, lm::Activation::kLeakyRelu, 0.2f, nullptr);
+    // Float accumulation lands comfortably inside 1e-4 of the double
+    // reference at these magnitudes.
+    expect_close(got, want, 1e-4, "conv");
   }
 }
 
@@ -260,17 +229,8 @@ TEST(ConvEngine, DeconvMatchesNaiveScatterReference) {
       naive_deconv(src, in_c, h, w, weights, out_c, k, stride, pad, output_pad, bias,
                    lm::Activation::kRelu, 0.2f);
 
-  lm::ConvKey key;
-  key.dir = lm::ConvDir::kDeconvForward;
-  key.in_c = in_c;
-  key.in_h = h;
-  key.in_w = w;
-  key.out_c = out_c;
-  key.kernel = k;
-  key.stride = stride;
-  key.pad = pad;
-  key.output_pad = output_pad;
-  const auto plan = lm::conv_plan(key);
+  const auto plan = lm::conv_plan(
+      {lm::ConvDir::kDeconv, in_c, h, w, out_c, k, stride, pad, output_pad});
 
   lm::Epilogue epi;
   epi.bias = bias.data();
@@ -284,37 +244,22 @@ TEST(ConvEngine, DeconvMatchesNaiveScatterReference) {
   expect_close(dst, want, 1e-4, "deconv");
 }
 
-// Per-algorithm bit-identity across thread counts: the chunked dispatch may
-// change which thread computes a sample, never what it computes. Batch 5 so
-// the batch-parallel outer level engages; serial (no context) is the
-// reference.
-TEST(ConvEngine, EachAlgorithmBitIdenticalAcrossThreadCounts) {
+// Bit-identity across thread counts: the chunked dispatch may change which
+// thread computes a sample, never what it computes. Batch 5 so the
+// batch-parallel outer level engages; serial (no context) is the reference.
+TEST(ConvEngine, ForwardBitIdenticalAcrossThreadCounts) {
   const Geometry g{3, 17, 13, 5, 5, 1, 2};
   const std::size_t batch = 5;
   const std::vector<float> src = synth_vec(batch * g.in_c * g.h * g.w, 211);
   const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 2111);
   const std::vector<float> bias = synth_vec(g.out_c, 9643);
-
-  lm::ConvKey key;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  for (const lm::ConvAlgo algo : lm::conv_algo_candidates(key)) {
-    const std::vector<float> ref =
-        run_forward(g, algo, batch, src, weights, bias, lm::Activation::kTanh, 0.2f,
-                    nullptr);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      lu::ExecContext exec(threads);
-      const std::vector<float> got =
-          run_forward(g, algo, batch, src, weights, bias, lm::Activation::kTanh, 0.2f,
-                      &exec);
-      EXPECT_TRUE(bit_equal(got, ref))
-          << lm::conv_algo_name(algo) << ", threads=" << threads;
-    }
+  const std::vector<float> ref =
+      run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, nullptr);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    lu::ExecContext exec(threads);
+    const std::vector<float> got =
+        run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, &exec);
+    EXPECT_TRUE(bit_equal(got, ref)) << "threads=" << threads;
   }
 }
 
@@ -324,24 +269,13 @@ TEST(ConvEngine, PrepackedWeightsBitIdenticalToRaw) {
   const std::vector<float> src = synth_vec(g.in_c * g.h * g.w, 401);
   const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 3301);
   const std::vector<float> bias = synth_vec(g.out_c, 11003);
-
-  lm::ConvKey key;
-  key.in_c = g.in_c;
-  key.in_h = g.h;
-  key.in_w = g.w;
-  key.out_c = g.out_c;
-  key.kernel = g.k;
-  key.stride = g.stride;
-  key.pad = g.pad;
-  for (const lm::ConvAlgo algo : lm::conv_algo_candidates(key)) {
-    const std::vector<float> raw = run_forward(
-        g, algo, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-        /*use_prepacked=*/false);
-    const std::vector<float> packed = run_forward(
-        g, algo, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-        /*use_prepacked=*/true);
-    EXPECT_TRUE(bit_equal(raw, packed)) << lm::conv_algo_name(algo);
-  }
+  const std::vector<float> raw =
+      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
+                  /*use_prepacked=*/false);
+  const std::vector<float> packed =
+      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
+                  /*use_prepacked=*/true);
+  EXPECT_TRUE(bit_equal(raw, packed));
 }
 
 // The cache must hand back the same plan object on a repeated key (hit
@@ -366,99 +300,4 @@ TEST(ConvEngine, PlanCacheReusesPlans) {
   EXPECT_EQ(counter("conv.plan_cache.hit"), hit0 + 1) << "second lookup must hit";
   EXPECT_EQ(counter("conv.plan_cache.miss"), miss1) << "no rebuild on a hit";
   EXPECT_EQ(first.get(), second.get()) << "cache must return the same plan object";
-}
-
-// LITHOGAN_CONV_ALGO wins where the named algorithm is a candidate and
-// defers to the model where it is not. The env is read when a plan is first
-// built, so every probe uses a geometry not seen elsewhere in this process.
-TEST(ConvEngine, EnvOverrideForcesCandidateAlgorithms) {
-  lm::ConvKey key;
-  key.in_c = 3;
-  key.in_h = 31;
-  key.in_w = 37;
-  key.out_c = 41;  // big out_c: the model would pick im2col here
-  key.kernel = 3;
-  key.stride = 1;
-  key.pad = 1;
-
-  ASSERT_EQ(setenv("LITHOGAN_CONV_ALGO", "direct", 1), 0);
-  EXPECT_EQ(lm::conv_plan(key)->algo, lm::ConvAlgo::kDirect);
-
-  // Same override on a strided geometry, where direct is not a candidate:
-  // the model's choice must stand.
-  key.in_h = 37;
-  key.stride = 2;
-  const auto strided = lm::conv_plan(key);
-  EXPECT_NE(strided->algo, lm::ConvAlgo::kDirect);
-  ASSERT_EQ(unsetenv("LITHOGAN_CONV_ALGO"), 0);
-
-  // With the override gone, a fresh geometry goes back to the model: the
-  // chosen algorithm is one of the candidates with the lowest modelled cost.
-  key.in_h = 41;
-  key.stride = 1;
-  const auto modeled = lm::conv_plan(key);
-  const auto candidates = lm::conv_algo_candidates(key);
-  EXPECT_NE(std::find(candidates.begin(), candidates.end(), modeled->algo),
-            candidates.end());
-}
-
-// `prepacked` and `threads` size scratch and dispatch, never the algorithm:
-// that invariance is what keeps InferencePlan output bit-identical to the
-// module forward, and results independent of the thread budget.
-TEST(ConvEngine, SelectionIgnoresPackingAndThreadBudget) {
-  lm::ConvKey key;
-  key.in_c = 2;
-  key.in_h = 43;
-  key.in_w = 43;
-  key.out_c = 5;
-  key.kernel = 5;
-  key.stride = 1;
-  key.pad = 2;
-
-  const auto base = lm::conv_plan(key);
-  key.prepacked = true;
-  const auto packed = lm::conv_plan(key);
-  key.threads = 8;
-  const auto threaded = lm::conv_plan(key);
-  key.prepacked = false;
-  const auto threaded_raw = lm::conv_plan(key);
-
-  EXPECT_EQ(base->algo, packed->algo);
-  EXPECT_EQ(base->algo, threaded->algo);
-  EXPECT_EQ(base->algo, threaded_raw->algo);
-}
-
-// The model's scores are recorded on the plan for exactly this kind of
-// check: a candidate only wins by costing less, and non-candidates carry a
-// zero score.
-TEST(ConvEngine, CostModelScoresAreCoherent) {
-  lm::ConvKey key;
-  key.in_c = 1;
-  key.in_h = 53;
-  key.in_w = 53;
-  key.out_c = 1;
-  key.kernel = 13;
-  key.stride = 1;
-  key.pad = 6;
-
-  const auto plan = lm::conv_plan(key);
-  EXPECT_GT(plan->cost_im2col, 0.0);  // im2col is always a candidate
-  if (plan->algo == lm::ConvAlgo::kDirect) {
-    EXPECT_GT(plan->cost_direct, 0.0);
-    EXPECT_LT(plan->cost_direct, plan->cost_im2col);
-  } else if (plan->algo == lm::ConvAlgo::kFft) {
-    EXPECT_GT(plan->cost_fft, 0.0);
-    EXPECT_LT(plan->cost_fft, plan->cost_im2col);
-  }
-
-  // Stride kills direct candidacy (score stays zero), and on a heavily
-  // strided many-channel shape the GEMM lowering beats the spectral path.
-  key.in_c = 8;
-  key.out_c = 16;
-  key.kernel = 4;
-  key.stride = 4;
-  key.pad = 0;
-  const auto strided = lm::conv_plan(key);
-  EXPECT_EQ(strided->algo, lm::ConvAlgo::kIm2col);
-  EXPECT_EQ(strided->cost_direct, 0.0);
 }

@@ -19,7 +19,6 @@
 #include "data/dataset.hpp"
 #include "litho/process.hpp"
 #include "litho/simulator.hpp"
-#include "math/conv.hpp"
 #include "math/fft.hpp"
 #include "math/gemm.hpp"
 #include "nn/activations.hpp"
@@ -160,50 +159,6 @@ TEST(Determinism, Conv2dForwardBackwardMatchesSerialAtAnyThreadCount) {
   for (const std::size_t threads : kThreadCounts) {
     lu::ExecContext exec(threads);
     expect_same_run(run_conv(make, &exec), ref, threads, "Conv2d");
-  }
-}
-
-TEST(Determinism, ConvEngineAlgorithmsMatchSerialAtAnyThreadCount) {
-  // Every algorithm the conv engine can run on this stride-1 geometry
-  // (im2col, direct, fft — forced via the conv_plan overload, so the cost
-  // model cannot hide one) must be bit-identical to its own serial result
-  // at any thread count. Batch 5 engages the batch-parallel outer level.
-  const std::size_t batch = 5, in_c = 3, h = 17, w = 13, out_c = 5, k = 5;
-  std::vector<float> src(batch * in_c * h * w), weights(out_c * in_c * k * k),
-      bias(out_c);
-  for (std::size_t i = 0; i < src.size(); ++i) src[i] = synth(i);
-  for (std::size_t i = 0; i < weights.size(); ++i) weights[i] = synth(i + 911);
-  for (std::size_t i = 0; i < bias.size(); ++i) bias[i] = synth(i + 3511);
-
-  lm::ConvKey key;
-  key.in_c = in_c;
-  key.in_h = h;
-  key.in_w = w;
-  key.out_c = out_c;
-  key.kernel = k;
-  key.stride = 1;
-  key.pad = 2;
-  lm::Epilogue epi;
-  epi.bias = bias.data();
-  epi.bias_per_row = true;
-  epi.act = lm::Activation::kLeakyRelu;
-
-  for (const lm::ConvAlgo algo : lm::conv_algo_candidates(key)) {
-    const auto plan = lm::conv_plan(key, algo);
-    const std::size_t out_elems = batch * out_c * plan->out_h * plan->out_w;
-    std::vector<float> ref(out_elems);
-    lu::Workspace ref_ws;
-    lm::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
-                       ref.data(), nullptr, ref_ws);
-    for (const std::size_t threads : kThreadCounts) {
-      lu::ExecContext exec(threads);
-      std::vector<float> got(out_elems);
-      lu::Workspace ws;
-      lm::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
-                         got.data(), &exec, ws);
-      EXPECT_TRUE(bit_equal(got, ref))
-          << lm::conv_algo_name(algo) << ", threads=" << threads;
-    }
   }
 }
 

@@ -5,6 +5,8 @@
 //   * InferencePlan::infer is bit-identical to eval-mode module forward for
 //     all three paper networks, across batch sizes and thread counts;
 //   * steady-state infer() calls perform zero arena allocations;
+//   * a layer's module forward, its backward and its compiled plan step
+//     share one conv-engine plan;
 //   * a leftover LITHOGAN_INFER_DTYPE other than f32 fails the plan build;
 //   * LithoGan::predict_batch reproduces the per-sample module path byte
 //     for byte.
@@ -24,8 +26,10 @@
 #include "data/batch.hpp"
 #include "image/ops.hpp"
 #include "math/gemm.hpp"
+#include "nn/conv.hpp"
 #include "nn/infer.hpp"
 #include "nn/sequential.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
@@ -294,6 +298,32 @@ TEST(InferencePlan, ZeroSteadyStateAllocations) {
   const auto steady = plan.arena_stats();
   EXPECT_EQ(warm.allocations, steady.allocations)
       << "steady-state infer() must not allocate";
+}
+
+// Conv plans are keyed on layer geometry alone: training forward, backward
+// (on a thread pool) and the compiled plan step of one layer resolve the
+// same cache entry, so two layers build exactly two plans. The geometries
+// are unique to this test, so every other lookup in the process is a hit.
+TEST(InferencePlan, OneConvPlanPerLayerGeometry) {
+  const std::uint64_t misses0 =
+      lithogan::obs::Registry::global().counter_value("conv.plan_cache.miss");
+  lu::Rng rng(17);
+  ln::Sequential net;
+  net.emplace<ln::Conv2d>(3, 5, 3, 2, 1, rng);
+  net.emplace<ln::ConvTranspose2d>(5, 2, 3, 2, 1, 0, rng);
+  lu::ExecContext exec(2);
+  net.set_exec_context(&exec);
+  const ln::Tensor x = random_tensor({2, 3, 19, 19}, rng);
+  const ln::Tensor y = net.forward(x);
+  ASSERT_EQ(y.shape(), (std::vector<std::size_t>{2, 2, 19, 19}));
+  (void)net.backward(random_tensor(y.shape(), rng));
+
+  ln::InferencePlan plan;
+  plan.compile(net, {3, 19, 19});
+  plan.set_exec_context(&exec);
+  (void)plan.infer(x);
+  EXPECT_EQ(lithogan::obs::Registry::global().counter_value("conv.plan_cache.miss"),
+            misses0 + 2);
 }
 
 namespace {
