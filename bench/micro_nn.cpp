@@ -1,5 +1,6 @@
 // Engineering micro-benchmarks for the neural-network substrate
-// (google-benchmark): GEMM, conv forward/backward, generator inference.
+// (google-benchmark): GEMM, conv forward/backward, the im2col gather,
+// generator inference.
 // These are not paper experiments; they document the throughput on which
 // the Table 4 runtime results stand.
 //
@@ -15,6 +16,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "core/config.hpp"
@@ -128,6 +130,37 @@ static void BM_DeconvForward(benchmark::State& state) {
   set_flops_counter(state, 4.0 * 2.0 * (16.0 * 25.0) * cols * 32.0);
 }
 BENCHMARK(BM_DeconvForward)->ArgsProduct({{16, 32}, {0, 1, 2, 4, 8}});
+
+static void BM_Im2colPacked(benchmark::State& state) {
+  // One sample's packed-B gather, the half of conv2d_forward before its
+  // GEMM, run serially. Operands: channels, input size, kernel, stride,
+  // pad, then the thread operand (always 0).
+  const auto channels = static_cast<std::size_t>(state.range(0));
+  const auto size = static_cast<std::size_t>(state.range(1));
+  const auto kernel = static_cast<std::size_t>(state.range(2));
+  const auto stride = static_cast<std::size_t>(state.range(3));
+  const auto pad = static_cast<std::size_t>(state.range(4));
+  util::Rng rng(7);
+  std::vector<float> src(channels * size * size);
+  for (auto& v : src) v = static_cast<float>(rng.uniform(-1, 1));
+  const std::size_t out = math::conv_out_size(size, kernel, stride, pad);
+  std::vector<float> packed(math::packed_b_size(out * out, channels * kernel * kernel));
+  for (auto _ : state) {
+    math::im2col_packed(src.data(), channels, size, size, kernel, stride, pad,
+                        packed.data());
+    benchmark::DoNotOptimize(packed.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packed.size() * sizeof(float)));
+  state.counters["threads"] = benchmark::Counter(1.0);
+}
+// The lite center CNN's first conv, then generator L0, L1 and L4.
+BENCHMARK(BM_Im2colPacked)
+    ->Args({3, 64, 7, 1, 3, 0})
+    ->Args({3, 64, 5, 2, 2, 0})
+    ->Args({16, 32, 5, 2, 2, 0})
+    ->Args({128, 4, 5, 2, 2, 0});
 
 static void BM_GeneratorInference(benchmark::State& state) {
   // The lite-scale generator used by the experiment harnesses.

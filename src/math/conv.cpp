@@ -32,99 +32,130 @@ std::size_t deconv_out_size(std::size_t in, std::size_t kernel, std::size_t stri
   return grown - 2 * pad;
 }
 
-void im2col(const float* src, std::size_t channels, std::size_t height,
-            std::size_t width, std::size_t kernel, std::size_t stride, std::size_t pad,
-            float* col) {
+namespace {
+
+/// Output positions o in [lo, hi) along one axis whose input coordinate
+/// o*stride + k - pad lies inside [0, in) for kernel tap k. The valid
+/// positions of a tap are always one contiguous range.
+struct TapRange {
+  std::size_t lo = 0, hi = 0;
+};
+
+TapRange tap_range(std::size_t in, std::size_t out, std::size_t k, std::size_t stride,
+                   std::size_t pad) {
+  if (in + pad <= k) return {};  // every position lands past the far edge
+  const std::size_t hi = std::min(out, (in - 1 + pad - k) / stride + 1);
+  const std::size_t lo = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+  return {std::min(lo, hi), hi};
+}
+
+/// Writes one logical row of a tiled column matrix front to back: column q
+/// lands at lane q % tile_w of tile q / tile_w, tiles tile_stride floats
+/// apart. Runs are split where they cross a tile. The position is carried
+/// as an offset, so no pointer past the buffer is ever formed.
+class TiledRow {
+ public:
+  TiledRow(float* row, std::size_t tile_w, std::size_t tile_stride)
+      : row_(row), tile_w_(tile_w), tile_stride_(tile_stride) {}
+
+  void zeros(std::size_t n) {
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t run = std::min(n - done, tile_w_ - lane_);
+      std::fill_n(row_ + off_ + lane_, run, 0.0f);
+      done += run;
+      advance(run);
+    }
+  }
+
+  /// Appends src[0], src[step], ..., src[(n - 1) * step].
+  void copy(const float* src, std::size_t n, std::size_t step) {
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t run = std::min(n - done, tile_w_ - lane_);
+      float* out = row_ + off_ + lane_;
+      const float* in = src + done * step;
+      if (step == 1) {
+        std::copy_n(in, run, out);
+      } else {
+        for (std::size_t i = 0; i < run; ++i) out[i] = in[i * step];
+      }
+      done += run;
+      advance(run);
+    }
+  }
+
+ private:
+  void advance(std::size_t run) {
+    lane_ += run;
+    if (lane_ == tile_w_) {
+      lane_ = 0;
+      off_ += tile_stride_;
+    }
+  }
+
+  float* row_;
+  std::size_t tile_w_, tile_stride_;
+  std::size_t off_ = 0, lane_ = 0;
+};
+
+/// The one im2col walker. Element (p, q) of the (C*k*k) x (Ho*Wo) column
+/// matrix lands at dst[(q / tile_w) * rows * tile_w + p * tile_w + q % tile_w]:
+/// packed-B panels for tile_w = NR, row-major for tile_w = Ho*Wo (one tile).
+/// Each tap's row is its zero margins plus the valid interior copied from
+/// the source rows; lanes past Ho*Wo in the last tile are zero-filled.
+void im2col_tiled(const float* src, std::size_t channels, std::size_t height,
+                  std::size_t width, std::size_t kernel, std::size_t stride,
+                  std::size_t pad, std::size_t tile_w, float* dst) {
   const std::size_t out_h = conv_out_size(height, kernel, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel, stride, pad);
   const std::size_t plane = height * width;
-  const std::size_t out_plane = out_h * out_w;
+  const std::size_t rows = channels * kernel * kernel;
+  const std::size_t cols = out_h * out_w;
+  const std::size_t padded = (cols + tile_w - 1) / tile_w * tile_w;
+  const std::size_t tile_stride = rows * tile_w;
 
-  // Row r of `col` corresponds to (channel c, kernel tap ky, kx); column is
-  // the output position (oy, ox).
-  std::size_t row = 0;
+  std::size_t p = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     const float* src_plane = src + c * plane;
     for (std::size_t ky = 0; ky < kernel; ++ky) {
-      for (std::size_t kx = 0; kx < kernel; ++kx, ++row) {
-        float* out_row = col + row * out_plane;
-        for (std::size_t oy = 0; oy < out_h; ++oy) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(height)) {
-            for (std::size_t ox = 0; ox < out_w; ++ox) out_row[oy * out_w + ox] = 0.0f;
-            continue;
-          }
-          const float* src_row = src_plane + static_cast<std::size_t>(iy) * width;
-          for (std::size_t ox = 0; ox < out_w; ++ox) {
-            const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                                      static_cast<std::ptrdiff_t>(pad);
-            out_row[oy * out_w + ox] =
-                (ix < 0 || ix >= static_cast<std::ptrdiff_t>(width))
-                    ? 0.0f
-                    : src_row[static_cast<std::size_t>(ix)];
-          }
+      const TapRange ry = tap_range(height, out_h, ky, stride, pad);
+      for (std::size_t kx = 0; kx < kernel; ++kx, ++p) {
+        const TapRange rx = tap_range(width, out_w, kx, stride, pad);
+        TiledRow row(dst + p * tile_w, tile_w, tile_stride);
+        const std::size_t run = rx.hi - rx.lo;
+        if (run == 0 || ry.hi == ry.lo) {
+          row.zeros(padded);
+          continue;
         }
+        // Zeros owed before the next copy: the rows above the valid band
+        // and this row's left margin, later a right margin plus the next
+        // row's left margin.
+        std::size_t gap = ry.lo * out_w + rx.lo;
+        for (std::size_t oy = ry.lo; oy < ry.hi; ++oy) {
+          const float* src_row = src_plane + (oy * stride + ky - pad) * width;
+          row.zeros(gap);
+          row.copy(src_row + (rx.lo * stride + kx - pad), run, stride);
+          gap = out_w - run;
+        }
+        row.zeros(out_w - rx.hi + (out_h - ry.hi) * out_w + padded - cols);
       }
     }
   }
 }
 
+}  // namespace
+
+void im2col(const float* src, std::size_t channels, std::size_t height,
+            std::size_t width, std::size_t kernel, std::size_t stride, std::size_t pad,
+            float* col) {
+  const std::size_t cols = conv_out_size(height, kernel, stride, pad) *
+                           conv_out_size(width, kernel, stride, pad);
+  im2col_tiled(src, channels, height, width, kernel, stride, pad, cols, col);
+}
+
 void im2col_packed(const float* src, std::size_t channels, std::size_t height,
                    std::size_t width, std::size_t kernel, std::size_t stride,
                    std::size_t pad, float* packed) {
-  const std::size_t out_h = conv_out_size(height, kernel, stride, pad);
-  const std::size_t out_w = conv_out_size(width, kernel, stride, pad);
-  const std::size_t plane = height * width;
-  const std::size_t cols = out_h * out_w;               // GEMM n
-  const std::size_t rows = channels * kernel * kernel;  // GEMM k
-  const std::size_t nr = gemm_nr();
-  const std::size_t tiles = (cols + nr - 1) / nr;
-
-  // Ragged last tile: zero it once up front, then the main loops overwrite
-  // the live columns and the padding columns stay zero.
-  if (tiles * nr != cols) {
-    float* tail = packed + (tiles - 1) * rows * nr;
-    std::fill(tail, tail + rows * nr, 0.0f);
-  }
-
-  // Column q of the logical matrix lands in tile q / nr at lane q % nr;
-  // logical row p sits at offset p * nr inside the tile (p-major panels).
-  // q only ever increments by one, so the tile pointer and lane are carried
-  // incrementally instead of divided out per element.
-  const std::size_t tile_stride = rows * nr;
-  std::size_t row = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    const float* src_plane = src + c * plane;
-    for (std::size_t ky = 0; ky < kernel; ++ky) {
-      for (std::size_t kx = 0; kx < kernel; ++kx, ++row) {
-        float* dst = packed + row * nr;  // lane 0 of tile 0 for this row
-        std::size_t lane = 0;
-        for (std::size_t oy = 0; oy < out_h; ++oy) {
-          const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * stride + ky) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          const bool iy_ok = iy >= 0 && iy < static_cast<std::ptrdiff_t>(height);
-          const float* src_row =
-              iy_ok ? src_plane + static_cast<std::size_t>(iy) * width : nullptr;
-          for (std::size_t ox = 0; ox < out_w; ++ox) {
-            float value = 0.0f;
-            if (iy_ok) {
-              const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                                        static_cast<std::ptrdiff_t>(pad);
-              if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(width)) {
-                value = src_row[static_cast<std::size_t>(ix)];
-              }
-            }
-            dst[lane] = value;
-            if (++lane == nr) {
-              lane = 0;
-              dst += tile_stride;
-            }
-          }
-        }
-      }
-    }
-  }
+  im2col_tiled(src, channels, height, width, kernel, stride, pad, gemm_nr(), packed);
 }
 
 void col2im(const float* col, std::size_t channels, std::size_t height,
@@ -188,7 +219,7 @@ std::map<ConvKey, std::shared_ptr<const ConvPlan>>& plan_map() {
 }
 
 /// Scalar activation, formula-for-formula the GEMM epilogue's apply_act
-/// (and nn/activations), so the deconv gather writeback rounds identically
+/// (and nn/activations), so the deconv writeback rounds identically
 /// to a fused epilogue on the same accumulator value.
 inline float eval_act(Activation act, float v, float slope) {
   switch (act) {
@@ -204,36 +235,6 @@ inline float eval_act(Activation act, float v, float slope) {
       break;
   }
   return v;
-}
-
-/// One axis of the deconv col2im-gather table: for each output coordinate
-/// o, the taps (k, i) satisfying o = i*stride + k - pad with 0 <= i <
-/// in_dim, stored as column-matrix offsets k*k_step + i*i_step in
-/// ascending k — the order col2im's scatter visits them. Valid k for a
-/// fixed o are spaced exactly `stride` apart, so each coordinate has at
-/// most ceil(kernel / stride) taps; that bound is the table row stride and
-/// the return value.
-std::size_t build_gather_axis(std::size_t out_dim, std::size_t in_dim,
-                              std::size_t kernel, std::size_t stride, std::size_t pad,
-                              std::size_t k_step, std::size_t i_step,
-                              std::vector<std::uint32_t>& taps,
-                              std::vector<std::uint8_t>& counts) {
-  const std::size_t max_taps = (kernel + stride - 1) / stride;
-  taps.assign(out_dim * max_taps, 0);
-  counts.assign(out_dim, 0);
-  for (std::size_t o = 0; o < out_dim; ++o) {
-    std::size_t cnt = 0;
-    for (std::size_t k = 0; k < kernel; ++k) {
-      if (o + pad < k) continue;
-      const std::size_t num = o + pad - k;
-      if (num % stride != 0) continue;
-      const std::size_t i = num / stride;
-      if (i >= in_dim) continue;
-      taps[o * max_taps + cnt++] = static_cast<std::uint32_t>(k * k_step + i * i_step);
-    }
-    counts[o] = static_cast<std::uint8_t>(cnt);
-  }
-  return max_taps;
 }
 
 std::shared_ptr<ConvPlan> make_plan(const ConvKey& key) {
@@ -254,14 +255,26 @@ std::shared_ptr<ConvPlan> make_plan(const ConvKey& key) {
         "conv plan: inconsistent deconv geometry");
     plan->rows = key.out_c * key.kernel * key.kernel;
     plan->cols = key.in_h * key.in_w;
-    const std::size_t in_plane = key.in_h * key.in_w;
-    plan->gather_ty =
-        build_gather_axis(plan->out_h, key.in_h, key.kernel, key.stride, key.pad,
-                          key.kernel * in_plane, key.in_w, plan->gather_y,
-                          plan->gather_ycnt);
-    plan->gather_tx = build_gather_axis(plan->out_w, key.in_w, key.kernel, key.stride,
-                                        key.pad, in_plane, 1, plan->gather_x,
-                                        plan->gather_xcnt);
+    // Output column ox accumulates at phase_off[ox % stride] + ox / stride;
+    // phase ph holds the ceil((out_w - ph) / stride) columns ox ≡ ph.
+    plan->phase_off.assign(key.stride + 1, 0);
+    for (std::size_t ph = 0; ph < key.stride; ++ph) {
+      plan->phase_off[ph + 1] =
+          plan->phase_off[ph] + (plan->out_w + key.stride - 1 - ph) / key.stride;
+    }
+    // Tap kx reads input columns [r.lo, r.hi): the conv geometry's valid
+    // range, with the deconv output as the conv input.
+    plan->tap_x.resize(key.kernel);
+    for (std::size_t kx = 0; kx < key.kernel; ++kx) {
+      const TapRange r = tap_range(plan->out_w, key.in_w, kx, key.stride, key.pad);
+      ConvPlan::TapRun& t = plan->tap_x[kx];
+      t.col = kx * plan->cols + r.lo;
+      t.count = r.hi - r.lo;
+      if (t.count > 0) {
+        const std::size_t ox = r.lo * key.stride + kx - key.pad;
+        t.acc = plan->phase_off[ox % key.stride] + ox / key.stride;
+      }
+    }
   } else {
     LITHOGAN_REQUIRE(key.output_pad == 0, "conv plan: output_pad on a conv");
     plan->out_h = conv_out_size(key.in_h, key.kernel, key.stride, key.pad);
@@ -404,7 +417,8 @@ void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
   util::ExecContext* inner = batch_parallel ? nullptr : exec;
   auto sample = [&](std::size_t n0, std::size_t n1, util::Workspace& ws) {
     auto& col = ws.floats(kColSlot);
-    col.resize(rows * cols);
+    col.resize(rows * cols + plan.out_w);  // column matrix, then one row accumulator
+    float* acc = col.data() + rows * cols;
     for (std::size_t n = n0; n < n1; ++n) {
       const float* x = src + n * in_elems;
       float* y = dst + n * out_elems;
@@ -415,28 +429,41 @@ void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
       } else {
         gemm_at(rows, cols, k.in_c, 1.0f, weights, x, 0.0f, col.data(), inner);
       }
-      // ...then gather each output pixel's taps from col (plan tables).
-      // Taps are visited ascending in (ky, kx) — exactly the order
-      // col2im's scatter adds them — and bias lands after the full
-      // accumulation, so this writeback is bit-identical to memset +
+      // ...then build each output row from whole tap rows of col. With
+      // output column ox kept at phase_off[ox % stride] + ox / stride in the
+      // accumulator, each kx tap row adds into one contiguous run. Taps are
+      // added from +0 ascending in (ky, kx) — exactly the order col2im's
+      // scatter adds them into a zeroed output — and bias lands after the
+      // full accumulation, so this writeback is bit-identical to memset +
       // scatter + bias/activation sweep while streaming the output once.
       for (std::size_t oc = 0; oc < k.out_c; ++oc) {
         const float* cbase = col.data() + oc * kk * cols;
         const float b = epi.bias != nullptr ? epi.bias[oc] : 0.0f;
         float* yplane = y + oc * out_plane;
         for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-          const std::uint32_t* ty = plan.gather_y.data() + oy * plan.gather_ty;
-          const std::size_t nty = plan.gather_ycnt[oy];
-          float* yrow = yplane + oy * plan.out_w;
-          for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-            const std::uint32_t* tx = plan.gather_x.data() + ox * plan.gather_tx;
-            const std::size_t ntx = plan.gather_xcnt[ox];
-            float acc = 0.0f;
-            for (std::size_t a = 0; a < nty; ++a) {
-              const float* r = cbase + ty[a];
-              for (std::size_t c = 0; c < ntx; ++c) acc += r[tx[c]];
+          std::fill_n(acc, plan.out_w, 0.0f);
+          // The taps (ky, iy) with oy = iy*stride + ky - pad, ascending in ky.
+          for (std::size_t ky = (oy + k.pad) % k.stride; ky < k.kernel && ky <= oy + k.pad;
+               ky += k.stride) {
+            const std::size_t iy = (oy + k.pad - ky) / k.stride;
+            if (iy >= k.in_h) continue;
+            const float* taps = cbase + ky * k.kernel * cols + iy * k.in_w;
+            for (const ConvPlan::TapRun& t : plan.tap_x) {
+              const float* tap = taps + t.col;
+              float* run = acc + t.acc;
+              for (std::size_t i = 0; i < t.count; ++i) run[i] += tap[i];
             }
-            yrow[ox] = eval_act(epi.act, acc + b, epi.slope);
+          }
+          float* yrow = yplane + oy * plan.out_w;
+          for (std::size_t ph = 0; ph < k.stride; ++ph) {
+            const float* run = acc + plan.phase_off[ph];
+            const std::size_t len = plan.phase_off[ph + 1] - plan.phase_off[ph];
+            for (std::size_t j = 0; j < len; ++j) yrow[ph + j * k.stride] = run[j] + b;
+          }
+          if (epi.act != Activation::kIdentity) {
+            for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
+              yrow[ox] = eval_act(epi.act, yrow[ox], epi.slope);
+            }
           }
         }
       }

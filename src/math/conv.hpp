@@ -6,7 +6,8 @@
 // There is one lowering. A conv runs as an im2col-packed GEMM: the column
 // matrix is emitted directly in the micro-kernel's packed-B panel layout and
 // one GEMM per sample consumes it. A deconv runs as one GEMM into column
-// form plus the col2im gather writeback. Backward runs on the forward plan.
+// form plus a writeback that builds each output row from whole tap rows.
+// Backward runs on the forward plan.
 //
 // A plan is keyed by the layer geometry alone, so a layer's module forward,
 // its backward and its compiled InferencePlan step share one cache entry.
@@ -57,14 +58,18 @@ struct ConvPlan {
   std::size_t out_h = 0, out_w = 0;
   std::size_t rows = 0, cols = 0;
 
-  // kDeconv only: col2im gather tables (geometry-only, so they are shared
-  // by every execution of this plan). For each output coordinate, the
-  // column-matrix offsets of the taps that land on it, ascending in ky
-  // (resp. kx) — the order col2im's scatter visits them, so the gather
-  // replays the scatter accumulation bit for bit.
-  std::vector<std::uint32_t> gather_y, gather_x;
-  std::vector<std::uint8_t> gather_ycnt, gather_xcnt;
-  std::size_t gather_ty = 0, gather_tx = 0;
+  // kDeconv only: the writeback's column table (geometry-only, so it is
+  // shared by every execution of this plan). The row accumulator keeps
+  // output column ox at phase_off[ox % stride] + ox / stride, so tap kx
+  // adds the contiguous column run tap_x[kx] into a contiguous
+  // accumulator run.
+  struct TapRun {
+    std::size_t col = 0;    ///< col offset of tap kx's first valid input column
+    std::size_t count = 0;  ///< valid input columns
+    std::size_t acc = 0;    ///< accumulator slot of the first one
+  };
+  std::vector<TapRun> tap_x;
+  std::vector<std::size_t> phase_off;  ///< stride + 1 entries
 };
 
 /// Plan from the process-wide cache, built on the first lookup of `key`.
@@ -103,7 +108,7 @@ void conv2d_backward(const ConvPlan& plan, std::size_t batch, const float* input
                      util::ExecContext* exec, util::Workspace& serial_ws);
 
 /// Transposed-convolution forward: per sample one GEMM into column form,
-/// then the gather writeback with the epilogue applied after each output
+/// then the row-run writeback with the epilogue applied after each output
 /// pixel's full accumulation (bit-identical to scatter + bias sweep).
 void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
                       const float* weights, const float* packed, const Epilogue& epi,
@@ -129,7 +134,9 @@ std::size_t deconv_out_size(std::size_t in, std::size_t kernel, std::size_t stri
                             std::size_t pad, std::size_t output_pad);
 
 /// src: (C, H, W) contiguous. col: (C*k*k, Ho*Wo) contiguous, fully
-/// written. Out-of-bounds taps read as zero.
+/// written. Out-of-bounds taps read as zero. Shares its walker with
+/// im2col_packed: each tap row is written as zero margins plus the valid
+/// interior copied in runs.
 void im2col(const float* src, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t stride, std::size_t pad,
             float* col);
@@ -137,7 +144,7 @@ void im2col(const float* src, std::size_t channels, std::size_t height,
 /// im2col directly into the packed-B panel layout consumed by
 /// gemm_packed (see math/gemm.hpp): the column matrix never exists in
 /// row-major form. `packed` must hold packed_b_size(Ho*Wo, C*k*k) floats;
-/// ragged tile columns are zero-filled.
+/// ragged tile columns are zero-filled. Runs are split at tile boundaries.
 void im2col_packed(const float* src, std::size_t channels, std::size_t height,
                    std::size_t width, std::size_t kernel, std::size_t stride,
                    std::size_t pad, float* packed);

@@ -27,9 +27,9 @@ namespace lithogan::math {
 void gemm(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
           const float* b, float beta, float* c, util::ExecContext* exec = nullptr);
 
-/// C = alpha * A^T(k x m stored as m rows of k? no: A is k x m row-major,
-/// used as its transpose) * B(k x n) + beta * C(m x n).
-/// Convenient for weight-gradient computation without materializing A^T.
+/// C = alpha * A^T * B(k x n) + beta * C(m x n), where A is stored k x m
+/// row-major and used as its transpose (logical m x k). Convenient for
+/// weight gradients and deconv columns without materializing A^T.
 void gemm_at(std::size_t m, std::size_t n, std::size_t k, float alpha, const float* a,
              const float* b, float beta, float* c, util::ExecContext* exec = nullptr);
 
@@ -39,7 +39,7 @@ void gemm_bt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 
 // --- Pre-packed B interface -------------------------------------------------
 //
-// The packed-B layout is public so producers (nn::im2col_packed) can emit it
+// The packed-B layout is public so producers (math::im2col_packed) can emit it
 // directly, skipping the row-major staging copy: B (k x n logical) is split
 // into column tiles of gemm_nr() columns; tile jt occupies the contiguous
 // range packed[jt * k * NR, (jt+1) * k * NR) laid out p-major, i.e. element

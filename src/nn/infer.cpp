@@ -56,6 +56,16 @@ void reject_reduced_precision_env() {
                     ": inference is f32 only; unset the variable or set it to f32");
 }
 
+/// Names a GEMM-backed step in a trace: its index in plan_dump(), the batch
+/// and the batch's GEMM work 2*m*n*k in MFLOP, so mflop divided by the
+/// span's duration in ms reads as GF/s.
+void tag_gemm_step(obs::Span& span, std::size_t index, std::size_t batch,
+                   std::size_t flops_per_sample) {
+  span.arg("step", static_cast<double>(index));
+  span.arg("batch", static_cast<double>(batch));
+  span.arg("mflop", static_cast<double>(batch * flops_per_sample) * 1e-6);
+}
+
 }  // namespace
 
 std::size_t InferencePlan::weight_bytes() const {
@@ -588,22 +598,27 @@ void InferencePlan::run_maxpool(const Step& s, std::size_t batch, const float* s
   }
 }
 
-void InferencePlan::run_step(const Step& s, std::size_t batch, const Tensor& input) {
+void InferencePlan::run_step(std::size_t index, std::size_t batch, const Tensor& input) {
+  const Step& s = steps_[index];
   const float* src = src_ptr(s.in0, input);
   float* dst = dst_ptr(s.out);
+  const std::size_t taps = s.kernel * s.kernel;
   switch (s.op) {
     case Op::kConv: {
-      const obs::Span span("infer.step.conv");
+      obs::Span span("infer.step.conv");
+      tag_gemm_step(span, index, batch, 2 * s.out_c * s.out_h * s.out_w * s.in_c * taps);
       run_conv(s, batch, src, dst);
       break;
     }
     case Op::kDeconv: {
-      const obs::Span span("infer.step.deconv");
+      obs::Span span("infer.step.deconv");
+      tag_gemm_step(span, index, batch, 2 * s.out_c * taps * s.in_h * s.in_w * s.in_c);
       run_deconv(s, batch, src, dst);
       break;
     }
     case Op::kLinear: {
-      const obs::Span span("infer.step.linear");
+      obs::Span span("infer.step.linear");
+      tag_gemm_step(span, index, batch, 2 * s.out_c * s.in_c);
       run_linear(s, batch, src, dst);
       break;
     }
@@ -648,7 +663,7 @@ const Tensor& InferencePlan::infer(const Tensor& input) {
   const std::size_t batch = input.dim(0);
   LITHOGAN_REQUIRE(batch > 0, "InferencePlan: empty batch");
   ensure_capacity(batch);
-  for (const Step& s : steps_) run_step(s, batch, input);
+  for (std::size_t i = 0; i < steps_.size(); ++i) run_step(i, batch, input);
   return output_;
 }
 

@@ -13,8 +13,8 @@
 //   * a conv/linear immediately followed by an activation has bias +
 //     activation fused into the GEMM epilogue (math::Epilogue); a batchnorm
 //     absorbs it into its per-channel affine sweep; a deconv fuses bias +
-//     activation into its col2im writeback, which runs as a single gather
-//     pass (plan tap tables) instead of memset + scatter + sweep;
+//     activation into its col2im writeback, which builds each output row
+//     from whole tap rows instead of memset + scatter + sweep;
 //   * activation storage comes from a static arena: buffer lifetimes are
 //     computed by liveness analysis and dead buffers' slots are ping-pong
 //     reused, so U-Net skip buffers stay pinned across their live range
@@ -143,7 +143,7 @@ class InferencePlan {
     std::vector<float> packed_w;  ///< pre-packed weight panels (conv, deconv, linear)
     std::vector<float> bias;
     std::vector<float> bn_mean, bn_inv_std, bn_gamma, bn_beta;
-    /// Conv/deconv steps: the engine plan (geometry, gather tables).
+    /// Conv/deconv steps: the engine plan (geometry, writeback table).
     std::shared_ptr<const math::ConvPlan> conv;
   };
 
@@ -168,7 +168,7 @@ class InferencePlan {
   const float* src_ptr(BufId id, const Tensor& input) const;
   float* dst_ptr(BufId id);
   void ensure_capacity(std::size_t batch);
-  void run_step(const Step& s, std::size_t batch, const Tensor& input);
+  void run_step(std::size_t index, std::size_t batch, const Tensor& input);
   void run_conv(const Step& s, std::size_t batch, const float* src, float* dst);
   void run_deconv(const Step& s, std::size_t batch, const float* src, float* dst);
   void run_linear(const Step& s, std::size_t batch, const float* src, float* dst);

@@ -1,7 +1,9 @@
 // Convolution-engine gates (math/conv.hpp):
 //
-//   * the im2col-GEMM forward and the deconv gather agree with naive
+//   * the im2col-GEMM forward and the deconv writeback agree with naive
 //     double-accumulated references within tolerance on prime/odd shapes;
+//   * the deconv writeback is byte-identical to GEMM + col2im scatter into
+//     zeros + bias/activation sweep;
 //   * the forward is bit-identical across thread counts (serial, 1, 2 and
 //     8) and between raw and prepacked weights;
 //   * the plan cache actually reuses plans (conv.plan_cache.{hit,miss}
@@ -153,6 +155,41 @@ bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
          (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+// The engine's scalar activation formulas (math/conv.cpp eval_act).
+float act_f(lm::Activation act, float v, float slope) {
+  switch (act) {
+    case lm::Activation::kIdentity: return v;
+    case lm::Activation::kRelu: return v < 0.0f ? 0.0f : v;
+    case lm::Activation::kLeakyRelu: return v < 0.0f ? v * slope : v;
+    case lm::Activation::kTanh: return std::tanh(v);
+    case lm::Activation::kSigmoid: return 1.0f / (1.0f + std::exp(-v));
+  }
+  return v;
+}
+
+// Deconv forward spelled out in the engine's primitives: one GEMM into
+// column form, col2im's scatter into a zeroed output, then a bias and
+// activation sweep.
+std::vector<float> scatter_deconv(const lm::ConvPlan& plan, const float* x,
+                                  const std::vector<float>& weights,
+                                  const lm::Epilogue& epi) {
+  const lm::ConvKey& k = plan.key;
+  std::vector<float> col(plan.rows * plan.cols);
+  lm::gemm_at(plan.rows, plan.cols, k.in_c, 1.0f, weights.data(), x, 0.0f, col.data());
+  const std::size_t plane = plan.out_h * plan.out_w;
+  std::vector<float> y(k.out_c * plane, 0.0f);
+  lm::col2im(col.data(), k.out_c, plan.out_h, plan.out_w, k.kernel, k.stride, k.pad,
+             y.data());
+  for (std::size_t oc = 0; oc < k.out_c; ++oc) {
+    for (std::size_t i = 0; i < plane; ++i) {
+      float& v = y[oc * plane + i];
+      if (epi.bias != nullptr) v = v + epi.bias[oc];
+      v = act_f(epi.act, v, epi.slope);
+    }
+  }
+  return y;
+}
+
 std::uint64_t counter(const char* name) {
   return lo::Registry::global().counter_value(name);
 }
@@ -242,6 +279,58 @@ TEST(ConvEngine, DeconvMatchesNaiveScatterReference) {
   lm::deconv2d_forward(*plan, 1, src.data(), weights.data(), nullptr, epi, dst.data(),
                        nullptr, ws);
   expect_close(dst, want, 1e-4, "deconv");
+}
+
+// The writeback replays col2im's scatter order, so it must match the
+// scatter form byte for byte: over the six lite decoder layers, stride 1
+// and stride 3 (kernel < stride leaves outputs no tap reaches), output_pad
+// 0 and 2, every activation, with and without bias, raw and prepacked
+// weights, and -0.0 in the input.
+TEST(ConvEngine, DeconvWritebackBitIdenticalToScatter) {
+  struct DeconvGeometry {
+    std::size_t in_c, h, w, out_c, k, stride, pad, output_pad;
+  };
+  const DeconvGeometry geoms[] = {
+      {128, 1, 1, 128, 5, 2, 2, 1}, {128, 2, 2, 128, 5, 2, 2, 1},
+      {128, 4, 4, 64, 5, 2, 2, 1},  {64, 8, 8, 32, 5, 2, 2, 1},
+      {32, 16, 16, 16, 5, 2, 2, 1}, {16, 32, 32, 1, 5, 2, 2, 1},
+      {3, 7, 9, 4, 3, 1, 1, 0},     {2, 5, 6, 3, 3, 1, 0, 0},
+      {3, 5, 4, 2, 2, 3, 0, 0},     {3, 5, 4, 2, 2, 3, 0, 2},
+      {2, 4, 5, 3, 5, 3, 1, 2},
+  };
+  const lm::Activation acts[] = {lm::Activation::kIdentity, lm::Activation::kRelu,
+                                 lm::Activation::kLeakyRelu, lm::Activation::kTanh,
+                                 lm::Activation::kSigmoid};
+  for (const DeconvGeometry& g : geoms) {
+    const auto plan = lm::conv_plan({lm::ConvDir::kDeconv, g.in_c, g.h, g.w, g.out_c,
+                                     g.k, g.stride, g.pad, g.output_pad});
+    std::vector<float> src = synth_vec(g.in_c * g.h * g.w, 47);
+    for (std::size_t i = 0; i < src.size(); i += 7) src[i] = -0.0f;
+    const std::vector<float> weights = synth_vec(g.in_c * g.out_c * g.k * g.k, 4099);
+    const std::vector<float> bias = synth_vec(g.out_c, 8191);
+    const std::vector<float> packed = lm::pack_conv_weights(*plan, weights.data());
+    for (const lm::Activation act : acts) {
+      for (const bool with_bias : {true, false}) {
+        lm::Epilogue epi;
+        epi.bias = with_bias ? bias.data() : nullptr;
+        epi.act = act;
+        epi.slope = 0.2f;
+        const std::vector<float> want = scatter_deconv(*plan, src.data(), weights, epi);
+        for (const bool prepacked : {false, true}) {
+          std::vector<float> got(want.size(), std::nanf(""));
+          lu::Workspace ws;
+          lm::deconv2d_forward(*plan, 1, src.data(), prepacked ? nullptr : weights.data(),
+                               prepacked ? packed.data() : nullptr, epi, got.data(),
+                               nullptr, ws);
+          EXPECT_TRUE(bit_equal(got, want))
+              << g.in_c << "x" << g.h << "x" << g.w << " -> " << g.out_c << " k" << g.k
+              << " s" << g.stride << " p" << g.pad << " op" << g.output_pad
+              << " act=" << static_cast<int>(act) << " bias=" << with_bias
+              << " prepacked=" << prepacked;
+        }
+      }
+    }
+  }
 }
 
 // Bit-identity across thread counts: the chunked dispatch may change which

@@ -6,6 +6,8 @@
 // bit-identical to the serial run — the determinism contract — while the
 // serial run is compared to the reference with a rounding tolerance (the
 // blocked kernel sums K in a different association than the triple loop).
+// Both im2col layouts the GEMMs consume (row-major and packed-B panels) must
+// equal a per-element reference gather byte for byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -174,29 +176,90 @@ TEST(GemmKernelTest, PrePackedBMatchesDenseGemm) {
   }
 }
 
-TEST(GemmKernelTest, Im2colPackedMatchesPackOfIm2col) {
+struct Gather {
+  std::size_t channels, height, width, kernel, stride, pad;
+};
+
+// Element (p, q) of the (C*k*k) x (Ho*Wo) column matrix, one element at a
+// time: the per-element gather both engine layouts must reproduce.
+float reference_tap(const std::vector<float>& src, const Gather& g, std::size_t out_w,
+                    std::size_t p, std::size_t q) {
+  const std::size_t c = p / (g.kernel * g.kernel);
+  const std::size_t ky = p / g.kernel % g.kernel;
+  const std::size_t kx = p % g.kernel;
+  const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(q / out_w * g.stride + ky) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+  const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(q % out_w * g.stride + kx) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+  if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(g.height) || ix < 0 ||
+      ix >= static_cast<std::ptrdiff_t>(g.width)) {
+    return 0.0f;
+  }
+  return src[(c * g.height + static_cast<std::size_t>(iy)) * g.width +
+             static_cast<std::size_t>(ix)];
+}
+
+TEST(GemmKernelTest, Im2colLayoutsMatchReferenceGather) {
+  const Gather geoms[] = {
+      // The nine lite conv geometries: center CNN, then generator L0-L5.
+      {3, 64, 64, 7, 1, 3},
+      {8, 32, 32, 3, 1, 1},
+      {16, 16, 16, 3, 1, 1},
+      {3, 64, 64, 5, 2, 2},
+      {16, 32, 32, 5, 2, 2},
+      {32, 16, 16, 5, 2, 2},
+      {64, 8, 8, 5, 2, 2},
+      {128, 4, 4, 5, 2, 2},
+      {128, 2, 2, 5, 2, 2},
+      // Pad >= kernel: whole tap rows and columns in the padding.
+      {2, 5, 6, 3, 1, 3},
+      {1, 4, 3, 2, 2, 2},
+      // Stride > kernel: input pixels no tap reads.
+      {2, 11, 13, 2, 3, 0},
+      {3, 10, 9, 2, 3, 1},
+      // Ho*Wo > NR with a ragged last tile (42 and 117 columns).
+      {3, 13, 11, 5, 2, 2},
+      {2, 9, 13, 3, 1, 1},
+      // 1x1 output.
+      {4, 3, 3, 3, 1, 0},
+  };
   util::Rng rng(5);
-  // Odd spatial extent, stride 2, padding: exercises zero taps and a ragged
-  // final column tile.
-  const std::size_t channels = 3, height = 13, width = 11, kernel = 5, stride = 2,
-                    pad = 2;
-  const std::size_t out_h = math::conv_out_size(height, kernel, stride, pad);
-  const std::size_t out_w = math::conv_out_size(width, kernel, stride, pad);
-  const std::size_t rows = channels * kernel * kernel;
-  const std::size_t cols = out_h * out_w;
+  const std::size_t nr = math::gemm_nr();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Gather& g : geoms) {
+    const std::size_t out_h = math::conv_out_size(g.height, g.kernel, g.stride, g.pad);
+    const std::size_t out_w = math::conv_out_size(g.width, g.kernel, g.stride, g.pad);
+    const std::size_t rows = g.channels * g.kernel * g.kernel;
+    const std::size_t cols = out_h * out_w;
+    const auto src = random_matrix(g.channels * g.height * g.width, rng);
 
-  const auto src = random_matrix(channels * height * width, rng);
-  std::vector<float> col(rows * cols);
-  math::im2col(src.data(), channels, height, width, kernel, stride, pad, col.data());
-  std::vector<float> expected(math::packed_b_size(cols, rows));
-  math::pack_b(rows, cols, col.data(), expected.data());
+    // Row-major: (p, q) at p * cols + q. Packed: tile q / NR at lane
+    // q % NR, p-major inside the tile; lanes past cols stay zero.
+    std::vector<float> want_col(rows * cols);
+    std::vector<float> want_packed(math::packed_b_size(cols, rows), 0.0f);
+    for (std::size_t p = 0; p < rows; ++p) {
+      for (std::size_t q = 0; q < cols; ++q) {
+        const float v = reference_tap(src, g, out_w, p, q);
+        want_col[p * cols + q] = v;
+        want_packed[q / nr * rows * nr + p * nr + q % nr] = v;
+      }
+    }
 
-  std::vector<float> direct(math::packed_b_size(cols, rows),
-                            std::numeric_limits<float>::quiet_NaN());
-  math::im2col_packed(src.data(), channels, height, width, kernel, stride, pad,
-                      direct.data());
-  ASSERT_EQ(0, std::memcmp(expected.data(), direct.data(),
-                           expected.size() * sizeof(float)));
+    std::vector<float> col(want_col.size(), nan);
+    math::im2col(src.data(), g.channels, g.height, g.width, g.kernel, g.stride, g.pad,
+                 col.data());
+    EXPECT_EQ(0, std::memcmp(want_col.data(), col.data(), col.size() * sizeof(float)))
+        << "im2col C=" << g.channels << " " << g.height << "x" << g.width
+        << " k=" << g.kernel << " s=" << g.stride << " p=" << g.pad;
+
+    std::vector<float> packed(want_packed.size(), nan);
+    math::im2col_packed(src.data(), g.channels, g.height, g.width, g.kernel, g.stride,
+                        g.pad, packed.data());
+    EXPECT_EQ(0, std::memcmp(want_packed.data(), packed.data(),
+                             packed.size() * sizeof(float)))
+        << "im2col_packed C=" << g.channels << " " << g.height << "x" << g.width
+        << " k=" << g.kernel << " s=" << g.stride << " p=" << g.pad;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 //   * a layer's module forward, its backward and its compiled plan step
 //     share one conv-engine plan;
 //   * a leftover LITHOGAN_INFER_DTYPE other than f32 fails the plan build;
+//   * the GEMM step spans carry their step index, batch and MFLOP;
 //   * LithoGan::predict_batch reproduces the per-sample module path byte
 //     for byte.
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,8 +31,11 @@
 #include "math/gemm.hpp"
 #include "nn/conv.hpp"
 #include "nn/infer.hpp"
+#include "nn/linear.hpp"
 #include "nn/sequential.hpp"
+#include "obs/json_verify.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
@@ -352,6 +358,58 @@ class ScopedInferDtype {
 };
 
 }  // namespace
+
+// A trace names each GEMM step by its plan_dump() index, with the batch
+// and the call's GEMM work (2*m*n*k per sample, summed) in MFLOP.
+TEST(InferencePlan, GemmStepSpansCarryStepBatchAndMflop) {
+  lu::Rng rng(29);
+  ln::Sequential net;
+  net.emplace<ln::Conv2d>(3, 4, 3, 1, 1, rng);              // step 0: 4x8x8
+  net.emplace<ln::ConvTranspose2d>(4, 2, 3, 2, 1, 1, rng);  // step 1: 2x16x16
+  net.emplace<ln::Flatten>();
+  net.emplace<ln::Linear>(2 * 16 * 16, 3, rng);  // step 2
+  net.set_training(false);
+  ln::InferencePlan plan;
+  plan.compile(net, {3, 8, 8});
+  const ln::Tensor x = random_tensor({2, 3, 8, 8}, rng);
+
+  lithogan::obs::TraceRecorder& rec = lithogan::obs::TraceRecorder::instance();
+  rec.clear();
+  lithogan::obs::set_trace_enabled(true);
+  (void)plan.infer(x);
+  lithogan::obs::set_trace_enabled(false);
+  const std::string path = testing::TempDir() + "infer_step_args_trace.json";
+  ASSERT_TRUE(rec.write_chrome_trace(path));
+  rec.clear();
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+
+  struct Want {
+    const char* name;
+    double step, mflop;
+  };
+  const Want wants[] = {
+      {"infer.step.conv", 0, 2.0 * 2 * 4 * (8 * 8) * (3 * 9) * 1e-6},
+      {"infer.step.deconv", 1, 2.0 * 2 * (2 * 9) * (8 * 8) * 4 * 1e-6},
+      {"infer.step.linear", 2, 2.0 * 2 * 3 * (2 * 16 * 16) * 1e-6},
+  };
+  const lithogan::obs::json::Value root = lithogan::obs::json::parse(text.str());
+  for (const Want& want : wants) {
+    bool seen = false;
+    for (const auto& ep : root.get("traceEvents")->array) {
+      const lithogan::obs::json::Value& e = *ep;
+      if (e.get("ph")->string != "X" || e.get("name")->string != want.name) continue;
+      const lithogan::obs::json::Value* args = e.get("args");
+      ASSERT_NE(args, nullptr) << want.name;
+      EXPECT_EQ(args->get("step")->number, want.step) << want.name;
+      EXPECT_EQ(args->get("batch")->number, 2.0) << want.name;
+      EXPECT_NEAR(args->get("mflop")->number, want.mflop, want.mflop * 1e-5) << want.name;
+      seen = true;
+    }
+    EXPECT_TRUE(seen) << want.name;
+  }
+}
 
 TEST(InferencePlan, RejectsLeftoverReducedPrecisionEnv) {
   // Inference is f32 only. A leftover LITHOGAN_INFER_DTYPE naming any other
