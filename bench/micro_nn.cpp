@@ -1,5 +1,5 @@
 // Engineering micro-benchmarks for the neural-network substrate
-// (google-benchmark): GEMM, conv forward/backward, the im2col gather,
+// (google-benchmark): GEMM, conv forward/backward, the serial conv step,
 // generator inference.
 // These are not paper experiments; they document the throughput on which
 // the Table 4 runtime results stand.
@@ -44,7 +44,7 @@ void set_thread_counters(benchmark::State& state) {
 }
 
 /// Per-iteration FLOP count, read back by the JSON reporter to derive GF/s.
-/// Counts GEMM multiply-adds only (im2col/bias traffic excluded), so the
+/// Counts GEMM multiply-adds only (input-copy/bias traffic excluded), so the
 /// number is comparable across kernel generations.
 void set_flops_counter(benchmark::State& state, double flops_per_iter) {
   state.counters["flops"] = benchmark::Counter(flops_per_iter);
@@ -79,7 +79,7 @@ static void BM_Conv2dForward(benchmark::State& state) {
   nn::Conv2d conv(16, 32, 5, 2, 2, rng);
   conv.set_exec_context(exec.get());
   // Batch of 4 so the batch-parallel path (one sample per task, per-thread
-  // im2col workspaces) is what the sweep exercises.
+  // phase-plane workspaces) is what the sweep exercises.
   const auto x = nn::Tensor::randn({4, 16, size, size}, rng);
   for (auto _ : state) {
     auto y = conv.forward(x);
@@ -131,36 +131,42 @@ static void BM_DeconvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_DeconvForward)->ArgsProduct({{16, 32}, {0, 1, 2, 4, 8}});
 
-static void BM_Im2colPacked(benchmark::State& state) {
-  // One sample's packed-B gather, the half of conv2d_forward before its
-  // GEMM, run serially. Operands: channels, input size, kernel, stride,
-  // pad, then the thread operand (always 0).
-  const auto channels = static_cast<std::size_t>(state.range(0));
+static void BM_ConvForward(benchmark::State& state) {
+  // One sample through conv2d_forward with prepacked weights and no
+  // epilogue, run serially: the InferencePlan conv step, phase-plane copy
+  // plus implicit GEMM. Operands: in channels, input size, out channels,
+  // kernel, stride, pad, then the thread operand (always 0).
+  const auto in_c = static_cast<std::size_t>(state.range(0));
   const auto size = static_cast<std::size_t>(state.range(1));
-  const auto kernel = static_cast<std::size_t>(state.range(2));
-  const auto stride = static_cast<std::size_t>(state.range(3));
-  const auto pad = static_cast<std::size_t>(state.range(4));
+  const auto out_c = static_cast<std::size_t>(state.range(2));
+  const auto kernel = static_cast<std::size_t>(state.range(3));
+  const auto stride = static_cast<std::size_t>(state.range(4));
+  const auto pad = static_cast<std::size_t>(state.range(5));
   util::Rng rng(7);
-  std::vector<float> src(channels * size * size);
+  std::vector<float> src(in_c * size * size);
   for (auto& v : src) v = static_cast<float>(rng.uniform(-1, 1));
-  const std::size_t out = math::conv_out_size(size, kernel, stride, pad);
-  std::vector<float> packed(math::packed_b_size(out * out, channels * kernel * kernel));
+  std::vector<float> weights(out_c * in_c * kernel * kernel);
+  for (auto& v : weights) v = static_cast<float>(rng.uniform(-1, 1));
+  const auto plan = math::conv_plan(
+      {math::ConvDir::kConv, in_c, size, size, out_c, kernel, stride, pad, 0});
+  const std::vector<float> packed = math::pack_conv_weights(*plan, weights.data());
+  std::vector<float> dst(out_c * plan->cols);
+  util::Workspace ws;
   for (auto _ : state) {
-    math::im2col_packed(src.data(), channels, size, size, kernel, stride, pad,
-                        packed.data());
-    benchmark::DoNotOptimize(packed.data());
+    math::conv2d_forward(*plan, 1, src.data(), nullptr, packed.data(), {}, dst.data(),
+                         nullptr, ws);
+    benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(packed.size() * sizeof(float)));
   state.counters["threads"] = benchmark::Counter(1.0);
+  set_flops_counter(state, 2.0 * static_cast<double>(out_c * plan->cols * plan->rows));
 }
 // The lite center CNN's first conv, then generator L0, L1 and L4.
-BENCHMARK(BM_Im2colPacked)
-    ->Args({3, 64, 7, 1, 3, 0})
-    ->Args({3, 64, 5, 2, 2, 0})
-    ->Args({16, 32, 5, 2, 2, 0})
-    ->Args({128, 4, 5, 2, 2, 0});
+BENCHMARK(BM_ConvForward)
+    ->Args({3, 64, 8, 7, 1, 3, 0})
+    ->Args({3, 64, 16, 5, 2, 2, 0})
+    ->Args({16, 32, 32, 5, 2, 2, 0})
+    ->Args({128, 4, 128, 5, 2, 2, 0});
 
 static void BM_GeneratorInference(benchmark::State& state) {
   // The lite-scale generator used by the experiment harnesses.

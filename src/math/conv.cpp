@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -13,7 +14,7 @@
 namespace lithogan::math {
 
 // ---------------------------------------------------------------------------
-// Shape helpers and im2col / col2im lowering primitives
+// Shape helpers and the im2col / col2im primitives of the backward pass
 // ---------------------------------------------------------------------------
 
 std::size_t conv_out_size(std::size_t in, std::size_t kernel, std::size_t stride,
@@ -49,97 +50,34 @@ TapRange tap_range(std::size_t in, std::size_t out, std::size_t k, std::size_t s
   return {std::min(lo, hi), hi};
 }
 
-/// Writes one logical row of a tiled column matrix front to back: column q
-/// lands at lane q % tile_w of tile q / tile_w, tiles tile_stride floats
-/// apart. Runs are split where they cross a tile. The position is carried
-/// as an offset, so no pointer past the buffer is ever formed.
-class TiledRow {
- public:
-  TiledRow(float* row, std::size_t tile_w, std::size_t tile_stride)
-      : row_(row), tile_w_(tile_w), tile_stride_(tile_stride) {}
-
-  void zeros(std::size_t n) {
-    for (std::size_t done = 0; done < n;) {
-      const std::size_t run = std::min(n - done, tile_w_ - lane_);
-      std::fill_n(row_ + off_ + lane_, run, 0.0f);
-      done += run;
-      advance(run);
-    }
+/// Fills the rows x cols grid dst with the (height x width) plane src
+/// sampled at (i * stride + ky - pad, j * stride + kx - pad), zero where that
+/// falls outside the plane: zero bands above and below the valid rows, zero
+/// margins around each valid row's copied interior. One tap row of im2col
+/// (tap (ky, kx) over the output grid) and one conv phase plane (phase
+/// (py, px) over the plane grid) are both such a grid.
+void gather_grid(const float* src, std::size_t height, std::size_t width,
+                 std::size_t ky, std::size_t kx, std::size_t stride, std::size_t pad,
+                 std::size_t rows, std::size_t cols, float* dst) {
+  const TapRange ry = tap_range(height, rows, ky, stride, pad);
+  const TapRange rx = tap_range(width, cols, kx, stride, pad);
+  if (ry.hi == ry.lo || rx.hi == rx.lo) {
+    std::fill_n(dst, rows * cols, 0.0f);
+    return;
   }
-
-  /// Appends src[0], src[step], ..., src[(n - 1) * step].
-  void copy(const float* src, std::size_t n, std::size_t step) {
-    for (std::size_t done = 0; done < n;) {
-      const std::size_t run = std::min(n - done, tile_w_ - lane_);
-      float* out = row_ + off_ + lane_;
-      const float* in = src + done * step;
-      if (step == 1) {
-        std::copy_n(in, run, out);
-      } else {
-        for (std::size_t i = 0; i < run; ++i) out[i] = in[i * step];
-      }
-      done += run;
-      advance(run);
+  std::fill_n(dst, ry.lo * cols, 0.0f);
+  for (std::size_t i = ry.lo; i < ry.hi; ++i) {
+    const float* in = src + (i * stride + ky - pad) * width + rx.lo * stride + kx - pad;
+    float* out = dst + i * cols;
+    std::fill_n(out, rx.lo, 0.0f);
+    if (stride == 1) {
+      std::copy_n(in, rx.hi - rx.lo, out + rx.lo);
+    } else {
+      for (std::size_t j = rx.lo; j < rx.hi; ++j) out[j] = in[(j - rx.lo) * stride];
     }
+    std::fill_n(out + rx.hi, cols - rx.hi, 0.0f);
   }
-
- private:
-  void advance(std::size_t run) {
-    lane_ += run;
-    if (lane_ == tile_w_) {
-      lane_ = 0;
-      off_ += tile_stride_;
-    }
-  }
-
-  float* row_;
-  std::size_t tile_w_, tile_stride_;
-  std::size_t off_ = 0, lane_ = 0;
-};
-
-/// The one im2col walker. Element (p, q) of the (C*k*k) x (Ho*Wo) column
-/// matrix lands at dst[(q / tile_w) * rows * tile_w + p * tile_w + q % tile_w]:
-/// packed-B panels for tile_w = NR, row-major for tile_w = Ho*Wo (one tile).
-/// Each tap's row is its zero margins plus the valid interior copied from
-/// the source rows; lanes past Ho*Wo in the last tile are zero-filled.
-void im2col_tiled(const float* src, std::size_t channels, std::size_t height,
-                  std::size_t width, std::size_t kernel, std::size_t stride,
-                  std::size_t pad, std::size_t tile_w, float* dst) {
-  const std::size_t out_h = conv_out_size(height, kernel, stride, pad);
-  const std::size_t out_w = conv_out_size(width, kernel, stride, pad);
-  const std::size_t plane = height * width;
-  const std::size_t rows = channels * kernel * kernel;
-  const std::size_t cols = out_h * out_w;
-  const std::size_t padded = (cols + tile_w - 1) / tile_w * tile_w;
-  const std::size_t tile_stride = rows * tile_w;
-
-  std::size_t p = 0;
-  for (std::size_t c = 0; c < channels; ++c) {
-    const float* src_plane = src + c * plane;
-    for (std::size_t ky = 0; ky < kernel; ++ky) {
-      const TapRange ry = tap_range(height, out_h, ky, stride, pad);
-      for (std::size_t kx = 0; kx < kernel; ++kx, ++p) {
-        const TapRange rx = tap_range(width, out_w, kx, stride, pad);
-        TiledRow row(dst + p * tile_w, tile_w, tile_stride);
-        const std::size_t run = rx.hi - rx.lo;
-        if (run == 0 || ry.hi == ry.lo) {
-          row.zeros(padded);
-          continue;
-        }
-        // Zeros owed before the next copy: the rows above the valid band
-        // and this row's left margin, later a right margin plus the next
-        // row's left margin.
-        std::size_t gap = ry.lo * out_w + rx.lo;
-        for (std::size_t oy = ry.lo; oy < ry.hi; ++oy) {
-          const float* src_row = src_plane + (oy * stride + ky - pad) * width;
-          row.zeros(gap);
-          row.copy(src_row + (rx.lo * stride + kx - pad), run, stride);
-          gap = out_w - run;
-        }
-        row.zeros(out_w - rx.hi + (out_h - ry.hi) * out_w + padded - cols);
-      }
-    }
-  }
+  std::fill_n(dst + ry.hi * cols, (rows - ry.hi) * cols, 0.0f);
 }
 
 }  // namespace
@@ -147,15 +85,16 @@ void im2col_tiled(const float* src, std::size_t channels, std::size_t height,
 void im2col(const float* src, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t stride, std::size_t pad,
             float* col) {
-  const std::size_t cols = conv_out_size(height, kernel, stride, pad) *
-                           conv_out_size(width, kernel, stride, pad);
-  im2col_tiled(src, channels, height, width, kernel, stride, pad, cols, col);
-}
-
-void im2col_packed(const float* src, std::size_t channels, std::size_t height,
-                   std::size_t width, std::size_t kernel, std::size_t stride,
-                   std::size_t pad, float* packed) {
-  im2col_tiled(src, channels, height, width, kernel, stride, pad, gemm_nr(), packed);
+  const std::size_t out_h = conv_out_size(height, kernel, stride, pad);
+  const std::size_t out_w = conv_out_size(width, kernel, stride, pad);
+  for (std::size_t c = 0; c < channels; ++c) {
+    for (std::size_t ky = 0; ky < kernel; ++ky) {
+      for (std::size_t kx = 0; kx < kernel; ++kx, col += out_h * out_w) {
+        gather_grid(src + c * height * width, height, width, ky, kx, stride, pad, out_h,
+                    out_w, col);
+      }
+    }
+  }
 }
 
 void col2im(const float* col, std::size_t channels, std::size_t height,
@@ -196,8 +135,9 @@ void col2im(const float* col, std::size_t channels, std::size_t height,
 namespace {
 
 // Engine workspace slot layout (floats of the chunk's arena).
-constexpr std::size_t kColSlot = 0;      // packed or row-major columns
+constexpr std::size_t kColSlot = 0;      // phase planes, columns or deconv columns
 constexpr std::size_t kGradColSlot = 1;  // backward gradient columns
+constexpr std::size_t kPackedASlot = 1;  // forward: raw weights packed per call
 
 obs::Counter& plan_hits() {
   static obs::Counter& c = obs::Registry::global().counter("conv.plan_cache.hit");
@@ -281,8 +221,56 @@ std::shared_ptr<ConvPlan> make_plan(const ConvKey& key) {
     plan->out_w = conv_out_size(key.in_w, key.kernel, key.stride, key.pad);
     plan->rows = key.in_c * key.kernel * key.kernel;
     plan->cols = plan->out_h * plan->out_w;
+    // Padded pixel (y, x) lives in phase plane (y % s, x % s) at (y / s,
+    // x / s), so tap (ky, kx) of output (oy, ox) is plane (ky % s, kx % s)
+    // at (oy + ky / s, ox + kx / s): a fixed shift per tap over the virtual
+    // columns q = oy * plane_w + ox.
+    const std::size_t s = key.stride;
+    plan->plane_h = (key.in_h + 2 * key.pad + s - 1) / s;
+    plan->plane_w = (key.in_w + 2 * key.pad + s - 1) / s;
+    const std::size_t plane = plan->plane_h * plan->plane_w;
+    const std::size_t planes = key.in_c * s * s * plane;
+    std::size_t max_off = 0;
+    plan->tap_off.reserve(plan->rows);
+    for (std::size_t c = 0; c < key.in_c; ++c) {
+      for (std::size_t ky = 0; ky < key.kernel; ++ky) {
+        for (std::size_t kx = 0; kx < key.kernel; ++kx) {
+          const std::size_t off = ((c * s + ky % s) * s + kx % s) * plane +
+                                  ky / s * plan->plane_w + kx / s;
+          LITHOGAN_REQUIRE(off <= std::numeric_limits<std::uint32_t>::max(),
+                           "conv plan: tap offset does not fit in uint32_t");
+          plan->tap_off.push_back(static_cast<std::uint32_t>(off));
+          max_off = std::max(max_off, off);
+        }
+      }
+    }
+    // Every tap's last live column lies inside the planes, and the kernels
+    // read whole column tiles, so at most NR - 1 floats past them: one
+    // tile of zeros after the last plane covers the widest read.
+    plan->buf_floats = planes + gemm_nr();
+    LITHOGAN_REQUIRE(
+        max_off + implicit_b_extent(plan->plane_w, plan->out_w, plan->out_h) <=
+            plan->buf_floats,
+        "conv plan: phase-buffer tail shorter than the widest tile read");
   }
   return plan;
+}
+
+/// Copies one (C, H, W) sample into the plan's zero-padded phase planes
+/// (see make_plan) and zeroes the tail past the last plane.
+void fill_phase_planes(const ConvPlan& plan, const float* src, float* buf) {
+  const ConvKey& k = plan.key;
+  const std::size_t plane = plan.plane_h * plan.plane_w;
+  float* out = buf;
+  for (std::size_t c = 0; c < k.in_c; ++c) {
+    for (std::size_t py = 0; py < k.stride; ++py) {
+      for (std::size_t px = 0; px < k.stride; ++px, out += plane) {
+        gather_grid(src + c * k.in_h * k.in_w, k.in_h, k.in_w, py, px, k.stride, k.pad,
+                    plan.plane_h, plan.plane_w, out);
+      }
+    }
+  }
+  std::fill(out, buf + plan.buf_floats, 0.0f);
 }
 
 }  // namespace
@@ -323,27 +311,30 @@ void conv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
                     float* dst, util::ExecContext* exec, util::Workspace& serial_ws) {
   LITHOGAN_REQUIRE(plan.key.dir == ConvDir::kConv,
                    "conv2d_forward: plan direction mismatch");
+  LITHOGAN_REQUIRE((weights == nullptr) != (packed == nullptr),
+                   "conv2d_forward: pass exactly one of weights and packed");
   LITHOGAN_REQUIRE(epi.bias == nullptr || epi.bias_per_row,
                    "conv2d_forward: conv bias is per output channel");
   const ConvKey& k = plan.key;
   const std::size_t in_elems = k.in_c * k.in_h * k.in_w;
   const std::size_t out_elems = k.out_c * plan.cols;
+  if (packed == nullptr) {
+    auto& panels = serial_ws.floats(kPackedASlot);
+    panels.resize(packed_a_size(k.out_c, plan.rows));
+    pack_a(k.out_c, plan.rows, weights, panels.data());
+    packed = panels.data();
+  }
 
   const bool batch_parallel = exec != nullptr && batch > 1;
   util::ExecContext* inner = batch_parallel ? nullptr : exec;
   auto sample = [&](std::size_t n0, std::size_t n1, util::Workspace& ws) {
-    auto& col = ws.floats(kColSlot);
-    col.resize(packed_b_size(plan.cols, plan.rows));
+    auto& buf = ws.floats(kColSlot);
+    buf.resize(plan.buf_floats);
+    const ImplicitB b{buf.data(), plan.tap_off.data(), plan.plane_w, plan.out_w,
+                      plan.out_h};
     for (std::size_t n = n0; n < n1; ++n) {
-      im2col_packed(src + n * in_elems, k.in_c, k.in_h, k.in_w, k.kernel, k.stride,
-                    k.pad, col.data());
-      if (packed != nullptr) {
-        gemm_prepacked_pb(k.out_c, plan.cols, plan.rows, 1.0f, packed, col.data(), 0.0f,
-                          dst + n * out_elems, epi, inner);
-      } else {
-        gemm_packed(k.out_c, plan.cols, plan.rows, 1.0f, weights, col.data(), 0.0f,
-                    dst + n * out_elems, epi, inner);
-      }
+      fill_phase_planes(plan, src + n * in_elems, buf.data());
+      gemm_implicit(k.out_c, plan.rows, packed, b, dst + n * out_elems, epi, inner);
     }
   };
   util::parallel_for(batch_parallel ? exec : nullptr, serial_ws, 0, batch, 1,
@@ -403,6 +394,8 @@ void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
                       float* dst, util::ExecContext* exec, util::Workspace& serial_ws) {
   LITHOGAN_REQUIRE(plan.key.dir == ConvDir::kDeconv,
                    "deconv2d_forward: plan direction mismatch");
+  LITHOGAN_REQUIRE((weights == nullptr) != (packed == nullptr),
+                   "deconv2d_forward: pass exactly one of weights and packed");
   LITHOGAN_REQUIRE(epi.bias == nullptr || epi.bias_per_row,
                    "deconv2d_forward: deconv bias is per output channel");
   const ConvKey& k = plan.key;

@@ -3,11 +3,15 @@
 // nn::InferencePlan — runs on a ConvPlan resolved from a process-wide plan
 // cache.
 //
-// There is one lowering. A conv runs as an im2col-packed GEMM: the column
-// matrix is emitted directly in the micro-kernel's packed-B panel layout and
-// one GEMM per sample consumes it. A deconv runs as one GEMM into column
+// There is one lowering per direction. A conv runs as an implicit GEMM: each
+// sample is copied once into zero-padded stride x stride phase planes, and
+// the GEMM micro-kernels read every tap row of the column matrix in place,
+// as that tap's fixed shift into the planes (math::gemm_implicit). No
+// column matrix is built. The GEMM spans out_h rows of plane_w virtual
+// columns; its writeback stores each row's out_w live columns straight into
+// NCHW with bias and activation fused. A deconv runs as one GEMM into column
 // form plus a writeback that builds each output row from whole tap rows.
-// Backward runs on the forward plan.
+// Backward runs on the forward plan with row-major im2col / col2im.
 //
 // A plan is keyed by the layer geometry alone, so a layer's module forward,
 // its backward and its compiled InferencePlan step share one cache entry.
@@ -53,10 +57,20 @@ struct ConvPlan {
 
   // Derived geometry: out_h/out_w is the spatial extent of the layer's
   // forward output (conv output for kConv, deconv output for kDeconv);
-  // rows/cols is the im2col matrix shape backing the GEMM lowering
+  // rows/cols is the column-matrix shape behind the GEMM lowering
   // (rows = taps, cols = positions).
   std::size_t out_h = 0, out_w = 0;
   std::size_t rows = 0, cols = 0;
+
+  // kConv only: the implicit-GEMM input layout. Channel c's padded pixel
+  // (y, x) lives in phase plane c * stride² + (y % stride) * stride +
+  // x % stride, at row y / stride and column x / stride of its
+  // plane_h x plane_w grid. Tap p of output (oy, ox) then reads
+  // buf[tap_off[p] + oy * plane_w + ox]. buf_floats is the planes plus the
+  // zero tail the GEMM's widest column-tile read needs.
+  std::size_t plane_h = 0, plane_w = 0;
+  std::size_t buf_floats = 0;
+  std::vector<std::uint32_t> tap_off;
 
   // kDeconv only: the writeback's column table (geometry-only, so it is
   // shared by every execution of this plan). The row accumulator keeps
@@ -91,8 +105,9 @@ std::vector<float> pack_conv_weights(const ConvPlan& plan, const float* weights)
 // their own live buffers in higher slots.
 
 /// Forward convolution, epilogue fused into the writeback:
-/// dst[n] = epi(conv(src[n], W)). Raw `weights` or `packed` (exactly one;
-/// the two forms are bit-identical).
+/// dst[n] = epi(conv(src[n], W)). Raw `weights` or `packed` (exactly one,
+/// else util::Error; raw weights are packed per call, so the two forms are
+/// bit-identical). Bit-identical to im2col -> gemm -> bias/activation sweep.
 void conv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
                     const float* weights, const float* packed, const Epilogue& epi,
                     float* dst, util::ExecContext* exec, util::Workspace& serial_ws);
@@ -109,7 +124,8 @@ void conv2d_backward(const ConvPlan& plan, std::size_t batch, const float* input
 
 /// Transposed-convolution forward: per sample one GEMM into column form,
 /// then the row-run writeback with the epilogue applied after each output
-/// pixel's full accumulation (bit-identical to scatter + bias sweep).
+/// pixel's full accumulation (bit-identical to scatter + bias sweep). Raw
+/// `weights` or `packed`, exactly one.
 void deconv2d_forward(const ConvPlan& plan, std::size_t batch, const float* src,
                       const float* weights, const float* packed, const Epilogue& epi,
                       float* dst, util::ExecContext* exec, util::Workspace& serial_ws);
@@ -134,20 +150,11 @@ std::size_t deconv_out_size(std::size_t in, std::size_t kernel, std::size_t stri
                             std::size_t pad, std::size_t output_pad);
 
 /// src: (C, H, W) contiguous. col: (C*k*k, Ho*Wo) contiguous, fully
-/// written. Out-of-bounds taps read as zero. Shares its walker with
-/// im2col_packed: each tap row is written as zero margins plus the valid
-/// interior copied in runs.
+/// written. Out-of-bounds taps read as zero: each tap row is zero margins
+/// plus the valid interior copied in runs.
 void im2col(const float* src, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t stride, std::size_t pad,
             float* col);
-
-/// im2col directly into the packed-B panel layout consumed by
-/// gemm_packed (see math/gemm.hpp): the column matrix never exists in
-/// row-major form. `packed` must hold packed_b_size(Ho*Wo, C*k*k) floats;
-/// ragged tile columns are zero-filled. Runs are split at tile boundaries.
-void im2col_packed(const float* src, std::size_t channels, std::size_t height,
-                   std::size_t width, std::size_t kernel, std::size_t stride,
-                   std::size_t pad, float* packed);
 
 /// Adjoint of im2col: scatter-adds col back into dst (C, H, W).
 /// dst must be zero-initialized by the caller.

@@ -1,6 +1,7 @@
 #include "math/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -40,9 +41,16 @@ constexpr std::size_t kMinFlopsPerTask = 16 * 1024;
 // B re-reads no matter how many cores join in.
 constexpr std::size_t kMinRowsPerTask = 32;
 // Workspace float slots used for panel scratch. High numbers keep clear of
-// the low slots callers (conv's im2col buffers) use in the same arenas.
+// the low slots callers (conv's input buffers) use in the same arenas.
 constexpr std::size_t kAPanelSlot = 7;
 constexpr std::size_t kBPanelSlot = 8;
+
+/// Row offsets of one K block of a packed-B panel: row p at p * kNr.
+constexpr std::array<std::uint32_t, kBlockK> kPanelRowOff = [] {
+  std::array<std::uint32_t, kBlockK> off{};
+  for (std::size_t p = 0; p < kBlockK; ++p) off[p] = static_cast<std::uint32_t>(p * kNr);
+  return off;
+}();
 
 /// Scratch for the serial path and for B packing on the calling thread.
 /// Thread-local so gemm stays safe when invoked concurrently from pool
@@ -122,19 +130,21 @@ void pack_a_block(std::size_t i0, std::size_t rows, std::size_t p0, std::size_t 
 
 // --- Micro-kernels ----------------------------------------------------------
 //
-// acc[MR][NR] = sum_p ap[p*MR + r] * bp[p*NR + j] over the K block. Each
-// (r, j) accumulator is one sequential chain over p, so the result is
-// independent of how the caller split rows across tasks.
+// acc[MR][NR] = sum_p ap[p*MR + r] * bp[off[p] + j] over the K block: B row
+// p of the column tile starts off[p] floats past bp (p * NR in a packed
+// panel, a tap's shift in an implicit conv B). Each (r, j) accumulator is
+// one sequential chain over p, so the result is independent of how the
+// caller split rows across tasks and of where the B rows live.
 
 using MicroKernel = void (*)(std::size_t kc, const float* ap, const float* bp,
-                             float* acc);
+                             const std::uint32_t* off, float* acc);
 
 void micro_kernel_portable(std::size_t kc, const float* ap, const float* bp,
-                           float* acc) {
+                           const std::uint32_t* off, float* acc) {
   float local[kMr * kNr] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     const float* arow = ap + p * kMr;
-    const float* brow = bp + p * kNr;
+    const float* brow = bp + off[p];
     for (std::size_t r = 0; r < kMr; ++r) {
       const float av = arow[r];
       float* dst = local + r * kNr;
@@ -146,7 +156,7 @@ void micro_kernel_portable(std::size_t kc, const float* ap, const float* bp,
 
 #if defined(__AVX512F__)
 void micro_kernel_avx512(std::size_t kc, const float* ap, const float* bp,
-                         float* acc) {
+                         const std::uint32_t* off, float* acc) {
   __m512 c0[kMr];
   __m512 c1[kMr];
   for (std::size_t r = 0; r < kMr; ++r) {
@@ -154,8 +164,9 @@ void micro_kernel_avx512(std::size_t kc, const float* ap, const float* bp,
     c1[r] = _mm512_setzero_ps();
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kNr);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * kNr + 16);
+    const float* brow = bp + off[p];
+    const __m512 b0 = _mm512_loadu_ps(brow);
+    const __m512 b1 = _mm512_loadu_ps(brow + 16);
     const float* arow = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       const __m512 av = _mm512_set1_ps(arow[r]);
@@ -169,7 +180,8 @@ void micro_kernel_avx512(std::size_t kc, const float* ap, const float* bp,
   }
 }
 #elif defined(__AVX2__) && defined(__FMA__)
-void micro_kernel_avx2(std::size_t kc, const float* ap, const float* bp, float* acc) {
+void micro_kernel_avx2(std::size_t kc, const float* ap, const float* bp,
+                       const std::uint32_t* off, float* acc) {
   __m256 c0[kMr];
   __m256 c1[kMr];
   for (std::size_t r = 0; r < kMr; ++r) {
@@ -177,8 +189,9 @@ void micro_kernel_avx2(std::size_t kc, const float* ap, const float* bp, float* 
     c1[r] = _mm256_setzero_ps();
   }
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kNr + 8);
+    const float* brow = bp + off[p];
+    const __m256 b0 = _mm256_loadu_ps(brow);
+    const __m256 b1 = _mm256_loadu_ps(brow + 8);
     const float* arow = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       const __m256 av = _mm256_broadcast_ss(arow + r);
@@ -202,51 +215,64 @@ void micro_kernel_avx2(std::size_t kc, const float* ap, const float* bp, float* 
 // live columns. Each (r, j) accumulator stays one sequential FMA chain over
 // p in the same order as the wide kernel (the half kernels are literally its
 // lower lane half; the narrow kernels vectorize over M with one fused
-// multiply-add per p per column), so every C element is bit-identical.
+// multiply-add per p per column), so every C element is bit-identical. The
+// narrow kernels take their columns as a lane list: an implicit conv B's
+// small tiles hold live lanes between dead ones (a 2x2 output is lanes
+// {0, 1, 4, 5}), and each listed lane's result lands in its own acc lane.
 
 /// Narrow kernels pay off while one vector FMA per live column beats the
 /// wide kernel's fixed 2*kMr per K step.
 constexpr std::size_t kNarrowCols = 4;
 
+/// Columns j < cols of one row tile; column j reads and writes lane lane[j].
 void micro_kernel_narrow_portable_one(std::size_t kc, const float* ap, const float* bp,
+                                      const std::uint32_t* off, const std::uint32_t* lane,
                                       float* acc, std::size_t cols) {
   float local[kMr * kNr] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     const float* arow = ap + p * kMr;
-    const float* brow = bp + p * kNr;
+    const float* brow = bp + off[p];
     for (std::size_t r = 0; r < kMr; ++r) {
       const float av = arow[r];
       float* dst = local + r * kNr;
-      for (std::size_t j = 0; j < cols; ++j) dst[j] += av * brow[j];
+      for (std::size_t j = 0; j < cols; ++j) dst[j] += av * brow[lane[j]];
     }
   }
   for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < cols; ++j) acc[r * kNr + j] = local[r * kNr + j];
+    for (std::size_t j = 0; j < cols; ++j) acc[r * kNr + lane[j]] = local[r * kNr + j];
   }
 }
 
+/// Lanes 0 .. kNr-1 in order: the contiguous column list.
+constexpr std::array<std::uint32_t, kNr> kIdentityLanes = [] {
+  std::array<std::uint32_t, kNr> lanes{};
+  for (std::size_t j = 0; j < kNr; ++j) lanes[j] = static_cast<std::uint32_t>(j);
+  return lanes;
+}();
+
 void micro_kernel_narrow_portable(std::size_t kc, const float* ap, const float* bp,
+                                  const std::uint32_t* off, const std::uint32_t* lane,
                                   float* acc, std::size_t cols, std::size_t ntiles) {
   for (std::size_t t = 0; t < ntiles; ++t) {
-    micro_kernel_narrow_portable_one(kc, ap + t * kc * kMr, bp, acc + t * kMr * kNr,
-                                     cols);
+    micro_kernel_narrow_portable_one(kc, ap + t * kc * kMr, bp, off, lane,
+                                     acc + t * kMr * kNr, cols);
   }
 }
 
 void micro_kernel_half_portable(std::size_t kc, const float* ap, const float* bp,
-                                float* acc) {
-  micro_kernel_narrow_portable_one(kc, ap, bp, acc, kNr / 2);
+                                const std::uint32_t* off, float* acc) {
+  micro_kernel_narrow_portable_one(kc, ap, bp, off, kIdentityLanes.data(), acc, kNr / 2);
 }
 
 #if defined(__AVX512F__)
 /// The wide kernel's lower lane half: c1/b1 dropped, everything else
 /// identical — covers tiles of up to kNr/2 live columns.
 void micro_kernel_half_avx512(std::size_t kc, const float* ap, const float* bp,
-                              float* acc) {
+                              const std::uint32_t* off, float* acc) {
   __m512 c0[kMr];
   for (std::size_t r = 0; r < kMr; ++r) c0[r] = _mm512_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kNr);
+    const __m512 b0 = _mm512_loadu_ps(bp + off[p]);
     const float* arow = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       c0[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r]), b0, c0[r]);
@@ -265,15 +291,19 @@ void micro_kernel_half_avx512(std::size_t kc, const float* ap, const float* bp,
 /// compile-time so the loops fully unroll.
 template <int COLS, int G>
 void micro_kernel_narrow_avx512_cg(std::size_t kc, const float* ap, const float* bp,
+                                   const std::uint32_t* off, const std::uint32_t* lanes,
                                    float* acc) {
   const std::size_t tstride = kc * kMr;
+  std::uint32_t lane[COLS];
+  for (int j = 0; j < COLS; ++j) lane[j] = lanes[j];
   __m256 accv[G][COLS];
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < COLS; ++j) accv[g][j] = _mm256_setzero_ps();
   }
   for (std::size_t p = 0; p < kc; ++p) {
+    const float* brow = bp + off[p];
     __m256 bv[COLS];
-    for (int j = 0; j < COLS; ++j) bv[j] = _mm256_broadcast_ss(bp + p * kNr + j);
+    for (int j = 0; j < COLS; ++j) bv[j] = _mm256_broadcast_ss(brow + lane[j]);
     for (int g = 0; g < G; ++g) {
       const __m256 av = _mm256_loadu_ps(ap + g * tstride + p * kMr);
       for (int j = 0; j < COLS; ++j) {
@@ -285,13 +315,14 @@ void micro_kernel_narrow_avx512_cg(std::size_t kc, const float* ap, const float*
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < COLS; ++j) {
       _mm256_storeu_ps(tmp, accv[g][j]);
-      for (std::size_t r = 0; r < kMr; ++r) acc[g * kMr * kNr + r * kNr + j] = tmp[r];
+      for (std::size_t r = 0; r < kMr; ++r) acc[g * kMr * kNr + r * kNr + lane[j]] = tmp[r];
     }
   }
 }
 
 template <int COLS>
 void micro_kernel_narrow_avx512_c(std::size_t kc, const float* ap, const float* bp,
+                                  const std::uint32_t* off, const std::uint32_t* lane,
                                   float* acc, std::size_t ntiles) {
   const std::size_t tstride = kc * kMr;
   std::size_t t = 0;
@@ -300,37 +331,38 @@ void micro_kernel_narrow_avx512_c(std::size_t kc, const float* ap, const float* 
     float* ac = acc + t * kMr * kNr;
     const std::size_t g = ntiles - t;
     if (g >= 4) {
-      micro_kernel_narrow_avx512_cg<COLS, 4>(kc, at, bp, ac);
+      micro_kernel_narrow_avx512_cg<COLS, 4>(kc, at, bp, off, lane, ac);
       t += 4;
     } else if (g == 3) {
-      micro_kernel_narrow_avx512_cg<COLS, 3>(kc, at, bp, ac);
+      micro_kernel_narrow_avx512_cg<COLS, 3>(kc, at, bp, off, lane, ac);
       t += 3;
     } else if (g == 2) {
-      micro_kernel_narrow_avx512_cg<COLS, 2>(kc, at, bp, ac);
+      micro_kernel_narrow_avx512_cg<COLS, 2>(kc, at, bp, off, lane, ac);
       t += 2;
     } else {
-      micro_kernel_narrow_avx512_cg<COLS, 1>(kc, at, bp, ac);
+      micro_kernel_narrow_avx512_cg<COLS, 1>(kc, at, bp, off, lane, ac);
       t += 1;
     }
   }
 }
 
 void micro_kernel_narrow_avx512(std::size_t kc, const float* ap, const float* bp,
+                                const std::uint32_t* off, const std::uint32_t* lane,
                                 float* acc, std::size_t cols, std::size_t ntiles) {
   switch (cols) {
-    case 1: micro_kernel_narrow_avx512_c<1>(kc, ap, bp, acc, ntiles); break;
-    case 2: micro_kernel_narrow_avx512_c<2>(kc, ap, bp, acc, ntiles); break;
-    case 3: micro_kernel_narrow_avx512_c<3>(kc, ap, bp, acc, ntiles); break;
-    default: micro_kernel_narrow_avx512_c<4>(kc, ap, bp, acc, ntiles); break;
+    case 1: micro_kernel_narrow_avx512_c<1>(kc, ap, bp, off, lane, acc, ntiles); break;
+    case 2: micro_kernel_narrow_avx512_c<2>(kc, ap, bp, off, lane, acc, ntiles); break;
+    case 3: micro_kernel_narrow_avx512_c<3>(kc, ap, bp, off, lane, acc, ntiles); break;
+    default: micro_kernel_narrow_avx512_c<4>(kc, ap, bp, off, lane, acc, ntiles); break;
   }
 }
 #elif defined(__AVX2__) && defined(__FMA__)
 void micro_kernel_half_avx2(std::size_t kc, const float* ap, const float* bp,
-                            float* acc) {
+                            const std::uint32_t* off, float* acc) {
   __m256 c0[kMr];
   for (std::size_t r = 0; r < kMr; ++r) c0[r] = _mm256_setzero_ps();
   for (std::size_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kNr);
+    const __m256 b0 = _mm256_loadu_ps(bp + off[p]);
     const float* arow = ap + p * kMr;
     for (std::size_t r = 0; r < kMr; ++r) {
       c0[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + r), b0, c0[r]);
@@ -347,15 +379,19 @@ void micro_kernel_half_avx2(std::size_t kc, const float* ap, const float* bp,
 /// capped at 2 tiles once COLS needs more than 2 accumulators each.
 template <int COLS, int G>
 void micro_kernel_narrow_avx2_cg(std::size_t kc, const float* ap, const float* bp,
+                                 const std::uint32_t* off, const std::uint32_t* lanes,
                                  float* acc) {
   const std::size_t tstride = kc * kMr;
+  std::uint32_t lane[COLS];
+  for (int j = 0; j < COLS; ++j) lane[j] = lanes[j];
   __m256 accv[G][COLS];
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < COLS; ++j) accv[g][j] = _mm256_setzero_ps();
   }
   for (std::size_t p = 0; p < kc; ++p) {
+    const float* brow = bp + off[p];
     __m256 bv[COLS];
-    for (int j = 0; j < COLS; ++j) bv[j] = _mm256_broadcast_ss(bp + p * kNr + j);
+    for (int j = 0; j < COLS; ++j) bv[j] = _mm256_broadcast_ss(brow + lane[j]);
     for (int g = 0; g < G; ++g) {
       const __m256 av = _mm256_loadu_ps(ap + g * tstride + p * kMr);
       for (int j = 0; j < COLS; ++j) {
@@ -367,13 +403,14 @@ void micro_kernel_narrow_avx2_cg(std::size_t kc, const float* ap, const float* b
   for (int g = 0; g < G; ++g) {
     for (int j = 0; j < COLS; ++j) {
       _mm256_storeu_ps(tmp, accv[g][j]);
-      for (std::size_t r = 0; r < kMr; ++r) acc[g * kMr * kNr + r * kNr + j] = tmp[r];
+      for (std::size_t r = 0; r < kMr; ++r) acc[g * kMr * kNr + r * kNr + lane[j]] = tmp[r];
     }
   }
 }
 
 template <int COLS>
 void micro_kernel_narrow_avx2_c(std::size_t kc, const float* ap, const float* bp,
+                                const std::uint32_t* off, const std::uint32_t* lane,
                                 float* acc, std::size_t ntiles) {
   const std::size_t tstride = kc * kMr;
   std::size_t t = 0;
@@ -383,38 +420,40 @@ void micro_kernel_narrow_avx2_c(std::size_t kc, const float* ap, const float* bp
     const std::size_t g = ntiles - t;
     if constexpr (COLS <= 2) {
       if (g >= 4) {
-        micro_kernel_narrow_avx2_cg<COLS, 4>(kc, at, bp, ac);
+        micro_kernel_narrow_avx2_cg<COLS, 4>(kc, at, bp, off, lane, ac);
         t += 4;
         continue;
       }
       if (g == 3) {
-        micro_kernel_narrow_avx2_cg<COLS, 3>(kc, at, bp, ac);
+        micro_kernel_narrow_avx2_cg<COLS, 3>(kc, at, bp, off, lane, ac);
         t += 3;
         continue;
       }
     }
     if (g >= 2) {
-      micro_kernel_narrow_avx2_cg<COLS, 2>(kc, at, bp, ac);
+      micro_kernel_narrow_avx2_cg<COLS, 2>(kc, at, bp, off, lane, ac);
       t += 2;
     } else {
-      micro_kernel_narrow_avx2_cg<COLS, 1>(kc, at, bp, ac);
+      micro_kernel_narrow_avx2_cg<COLS, 1>(kc, at, bp, off, lane, ac);
       t += 1;
     }
   }
 }
 
 void micro_kernel_narrow_avx2(std::size_t kc, const float* ap, const float* bp,
+                              const std::uint32_t* off, const std::uint32_t* lane,
                               float* acc, std::size_t cols, std::size_t ntiles) {
   switch (cols) {
-    case 1: micro_kernel_narrow_avx2_c<1>(kc, ap, bp, acc, ntiles); break;
-    case 2: micro_kernel_narrow_avx2_c<2>(kc, ap, bp, acc, ntiles); break;
-    case 3: micro_kernel_narrow_avx2_c<3>(kc, ap, bp, acc, ntiles); break;
-    default: micro_kernel_narrow_avx2_c<4>(kc, ap, bp, acc, ntiles); break;
+    case 1: micro_kernel_narrow_avx2_c<1>(kc, ap, bp, off, lane, acc, ntiles); break;
+    case 2: micro_kernel_narrow_avx2_c<2>(kc, ap, bp, off, lane, acc, ntiles); break;
+    case 3: micro_kernel_narrow_avx2_c<3>(kc, ap, bp, off, lane, acc, ntiles); break;
+    default: micro_kernel_narrow_avx2_c<4>(kc, ap, bp, off, lane, acc, ntiles); break;
   }
 }
 #endif
 
 using NarrowMicroKernel = void (*)(std::size_t kc, const float* ap, const float* bp,
+                                   const std::uint32_t* off, const std::uint32_t* lane,
                                    float* acc, std::size_t cols, std::size_t ntiles);
 
 /// Runtime dispatch, resolved once per process so every call sees the same
@@ -571,7 +610,7 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t n, std::size_t
         const std::size_t cols = std::min(kNr, n - jt * kNr);
         for (std::size_t t = 0; t < itiles; ++t) {
           float acc[kMr * kNr];
-          g_micro_kernel(kc, apanel.data() + t * kc * kMr, bp, acc);
+          g_micro_kernel(kc, apanel.data() + t * kc * kMr, bp, kPanelRowOff.data(), acc);
           const std::size_t row = i0 + t * kMr;
           write_tile(acc, std::min(kMr, r1 - row), cols, alpha, beta, first_block,
                      last_block, c + row * n + jt * kNr, n, epi, row, jt * kNr);
@@ -581,40 +620,103 @@ void gemm_rows_packed(std::size_t r0, std::size_t r1, std::size_t n, std::size_t
   }
 }
 
+/// The column side of a pre-packed-A GEMM. B row p0 + p of column tile jt
+/// starts at b + jt * tile_step + p0 * k_step + off[p0 * off_step + p]:
+/// packed panels walk the constant kPanelRowOff table, an implicit B its
+/// own offsets. Virtual column q = y * row_w + x is live when x < live_w and
+/// lands in C column y * live_w + x (dense C: row_w = live_w = n).
+struct ColumnTiles {
+  const float* b;
+  const std::uint32_t* off;
+  std::size_t tile_step, k_step, off_step;
+  std::size_t n;  ///< virtual columns
+  std::size_t row_w, live_w;
+  std::size_t ldc;  ///< live C columns
+
+  static ColumnTiles packed(const float* packed_b, std::size_t n, std::size_t k) {
+    return {packed_b, kPanelRowOff.data(), k * kNr, kNr, 0, n, n, n, n};
+  }
+
+  /// Lanes of tile jt the kernel must compute: up to its last live column
+  /// (0 when the whole tile falls between live runs).
+  std::size_t lanes(std::size_t jt) const {
+    const std::size_t q0 = jt * kNr;
+    const std::size_t span = std::min(kNr, n - q0);
+    const std::size_t x_last = (q0 + span - 1) % row_w;
+    const std::size_t dead = x_last < live_w ? 0 : x_last - live_w + 1;
+    return dead < span ? span - dead : 0;
+  }
+
+  /// Lists the live lanes among tile jt's first `cols` into lane[] and
+  /// returns their count — or kNarrowCols + 1 as soon as there are more.
+  std::size_t narrow_lanes(std::size_t jt, std::size_t cols, std::uint32_t* lane) const {
+    std::size_t live = 0;
+    for (std::size_t j = 0; j < cols; ++j) {
+      if ((jt * kNr + j) % row_w >= live_w) continue;
+      if (live == kNarrowCols) return kNarrowCols + 1;
+      lane[live++] = static_cast<std::uint32_t>(j);
+    }
+    return live;
+  }
+};
+
+/// Writes tile lanes [0, lanes) of virtual columns q0... into their live C
+/// columns: one write_tile per live run.
+void write_tile_runs(const float* acc, std::size_t rows, std::size_t q0,
+                     std::size_t lanes, const ColumnTiles& ct, float alpha, float beta,
+                     bool first_block, bool last_block, float* c, std::size_t row0,
+                     const Epilogue* epi) {
+  for (std::size_t q = q0, end = q0 + lanes; q < end;) {
+    const std::size_t x = q % ct.row_w;
+    if (x >= ct.live_w) {
+      q += ct.row_w - x;
+      continue;
+    }
+    const std::size_t run = std::min(ct.live_w - x, end - q);
+    const std::size_t col = q / ct.row_w * ct.live_w + x;
+    write_tile(acc + (q - q0), rows, run, alpha, beta, first_block, last_block,
+               c + row0 * ct.ldc + col, ct.ldc, epi, row0, col);
+    q += run;
+  }
+}
+
 /// Same row loop against a pre-packed A (pack_a / pack_a_t). Row tiles are
 /// addressed globally — chunk starts are always multiples of kMr (row_grain
 /// rounds up), so (i0 / kMr) indexes the packed tile exactly and any row
 /// split reproduces the serial result bit for bit.
-void gemm_rows_prepacked(std::size_t r0, std::size_t r1, std::size_t m,
-                         std::size_t n, std::size_t k, float alpha,
-                         const float* packed_a, const float* packed_b, float beta,
-                         float* c, const Epilogue* epi) {
+void gemm_rows_prepacked(std::size_t r0, std::size_t r1, std::size_t m, std::size_t k,
+                         float alpha, const float* packed_a, const ColumnTiles& ct,
+                         float beta, float* c, const Epilogue* epi) {
   const std::size_t rt = (m + kMr - 1) / kMr;
-  const std::size_t jtiles = (n + kNr - 1) / kNr;
+  const std::size_t jtiles = (ct.n + kNr - 1) / kNr;
   for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
     const std::size_t kc = std::min(kBlockK, k - p0);
     const bool first_block = p0 == 0;
     const bool last_block = p0 + kc == k;
     const float* ablock = packed_a + p0 * rt * kMr;
+    const std::uint32_t* off = ct.off + p0 * ct.off_step;
     for (std::size_t i0 = r0; i0 < r1; i0 += kBlockM) {
       const std::size_t mc = std::min(kBlockM, r1 - i0);
       const std::size_t itiles = (mc + kMr - 1) / kMr;
       const std::size_t t0 = i0 / kMr;
       for (std::size_t jt = 0; jt < jtiles; ++jt) {
-        const float* bp = packed_b + jt * k * kNr + p0 * kNr;
-        const std::size_t cols = std::min(kNr, n - jt * kNr);
+        const std::size_t cols = ct.lanes(jt);
+        if (cols == 0) continue;
+        const float* bp = ct.b + jt * ct.tile_step + p0 * ct.k_step;
         // Thin C tiles take the narrow kernel (bit-identical, see above) so
-        // serving-path GEMMs with N << kNr don't pay for the padded
+        // serving-path GEMMs with N << kNr don't pay for the padded or dead
         // columns. The whole block's row tiles go down in one call — the
         // kernel interleaves them to keep the FMA pipeline full.
-        if (cols <= kNarrowCols) {
+        std::uint32_t lane[kNarrowCols];
+        const std::size_t live = ct.narrow_lanes(jt, cols, lane);
+        if (live <= kNarrowCols) {
           float acc[((kBlockM + kMr - 1) / kMr) * kMr * kNr];
-          g_micro_kernel_narrow(kc, ablock + t0 * kc * kMr, bp, acc, cols, itiles);
+          g_micro_kernel_narrow(kc, ablock + t0 * kc * kMr, bp, off, lane, acc, live,
+                                itiles);
           for (std::size_t t = 0; t < itiles; ++t) {
             const std::size_t row = i0 + t * kMr;
-            write_tile(acc + t * kMr * kNr, std::min(kMr, r1 - row), cols, alpha,
-                       beta, first_block, last_block, c + row * n + jt * kNr, n, epi,
-                       row, jt * kNr);
+            write_tile_runs(acc + t * kMr * kNr, std::min(kMr, r1 - row), jt * kNr, cols,
+                            ct, alpha, beta, first_block, last_block, c, row, epi);
           }
           continue;
         }
@@ -622,13 +724,13 @@ void gemm_rows_prepacked(std::size_t r0, std::size_t r1, std::size_t m,
           float acc[kMr * kNr];
           const float* ap = ablock + (t0 + t) * kc * kMr;
           if (cols <= kNr / 2) {
-            g_micro_kernel_half(kc, ap, bp, acc);
+            g_micro_kernel_half(kc, ap, bp, off, acc);
           } else {
-            g_micro_kernel(kc, ap, bp, acc);
+            g_micro_kernel(kc, ap, bp, off, acc);
           }
           const std::size_t row = i0 + t * kMr;
-          write_tile(acc, std::min(kMr, r1 - row), cols, alpha, beta, first_block,
-                     last_block, c + row * n + jt * kNr, n, epi, row, jt * kNr);
+          write_tile_runs(acc, std::min(kMr, r1 - row), jt * kNr, cols, ct, alpha, beta,
+                          first_block, last_block, c, row, epi);
         }
       }
     }
@@ -651,17 +753,19 @@ void gemm_driver(std::size_t m, std::size_t n, std::size_t k, float alpha,
                      });
 }
 
-void gemm_driver_prepacked(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                           const float* packed_a, const float* packed_b, float beta,
+/// Row-parallel driver over a pre-packed A. Task grain and the dispatch
+/// cost hint follow the live columns (ct.ldc), the work actually kept.
+void gemm_driver_prepacked(std::size_t m, std::size_t k, float alpha,
+                           const float* packed_a, const ColumnTiles& ct, float beta,
                            float* c, util::ExecContext* exec, const Epilogue* epi) {
   if (exec == nullptr) {
-    gemm_rows_prepacked(0, m, m, n, k, alpha, packed_a, packed_b, beta, c, epi);
+    gemm_rows_prepacked(0, m, m, k, alpha, packed_a, ct, beta, c, epi);
     return;
   }
-  exec->parallel_for(0, m, row_grain(exec, m, n * k), 2 * m * n * k,
+  exec->parallel_for(0, m, row_grain(exec, m, ct.ldc * k), 2 * m * ct.ldc * k,
                      [&](std::size_t i0, std::size_t i1, util::Workspace&) {
-                       gemm_rows_prepacked(i0, i1, m, n, k, alpha, packed_a, packed_b,
-                                           beta, c, epi);
+                       gemm_rows_prepacked(i0, i1, m, k, alpha, packed_a, ct, beta, c,
+                                           epi);
                      });
 }
 
@@ -801,21 +905,29 @@ void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k, float alpha,
   auto& bbuf = local_workspace().floats(kBPanelSlot);
   bbuf.resize(packed_b_size(n, k));
   pack_b_impl<false>(k, n, b, n, bbuf.data());
-  gemm_driver_prepacked(m, n, k, alpha, packed_a, bbuf.data(), beta, c, exec,
-                        epi.trivial() ? nullptr : &epi);
+  gemm_driver_prepacked(m, k, alpha, packed_a, ColumnTiles::packed(bbuf.data(), n, k),
+                        beta, c, exec, epi.trivial() ? nullptr : &epi);
 }
 
-void gemm_prepacked_pb(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                       const float* packed_a, const float* packed_b, float beta,
-                       float* c, const Epilogue& epi, util::ExecContext* exec) {
+std::size_t implicit_b_extent(std::size_t row_w, std::size_t live_w, std::size_t rows) {
+  if (rows == 0 || live_w == 0) return 0;
+  return packed_b_size((rows - 1) * row_w + live_w, 1);
+}
+
+void gemm_implicit(std::size_t m, std::size_t k, const float* packed_a,
+                   const ImplicitB& b, float* c, const Epilogue& epi,
+                   util::ExecContext* exec) {
+  const std::size_t n = b.rows * b.live_w;
   if (m == 0 || n == 0) return;
-  if (alpha == 0.0f || k == 0) {
-    scale_c(m, n, beta, c);
+  if (k == 0) {
+    scale_c(m, n, 0.0f, c);
     epilogue_sweep(m, n, c, epi);
     return;
   }
   count_gemm_flops(m, n, k);
-  gemm_driver_prepacked(m, n, k, alpha, packed_a, packed_b, beta, c, exec,
+  const ColumnTiles ct{b.b,     b.off,    kNr,      0, 1, (b.rows - 1) * b.row_w + b.live_w,
+                       b.row_w, b.live_w, n};
+  gemm_driver_prepacked(m, k, 1.0f, packed_a, ct, 0.0f, c, exec,
                         epi.trivial() ? nullptr : &epi);
 }
 

@@ -1,9 +1,13 @@
 // Single-precision matrix multiplication — the workhorse behind every
-// convolution in the neural-network library (via im2col lowering).
+// convolution in the neural-network library.
 //
-// The kernel is a packed, register-blocked micro-kernel GEMM: A and B are
-// repacked into panel layouts sized for the cache hierarchy and an MR x NR
-// register tile is accumulated over K. On machines with AVX2+FMA (compile
+// The kernel is a packed, register-blocked micro-kernel GEMM: A is repacked
+// into panels sized for the cache hierarchy and an MR x NR register tile is
+// accumulated over K. The micro-kernels find each K row of a B column tile
+// through a row-offset table, so one kernel family reads both packed B
+// panels (the constant table p * NR) and a convolution's implicit B, whose
+// rows are shifted windows of one padded input (see gemm_implicit). On
+// machines with AVX2+FMA (compile
 // with -DLITHOGAN_NATIVE=ON) an intrinsic micro-kernel is selected at
 // runtime; otherwise a portable C++ kernel written for compiler
 // auto-vectorization runs. Each variant optionally runs row-block parallel
@@ -16,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace lithogan::util {
 class ExecContext;
@@ -39,12 +44,10 @@ void gemm_bt(std::size_t m, std::size_t n, std::size_t k, float alpha, const flo
 
 // --- Pre-packed B interface -------------------------------------------------
 //
-// The packed-B layout is public so producers (math::im2col_packed) can emit it
-// directly, skipping the row-major staging copy: B (k x n logical) is split
-// into column tiles of gemm_nr() columns; tile jt occupies the contiguous
-// range packed[jt * k * NR, (jt+1) * k * NR) laid out p-major, i.e. element
-// (p, jt*NR + j) lives at packed[jt*k*NR + p*NR + j]. Columns beyond n in
-// the last tile are zero-filled.
+// B (k x n logical) is split into column tiles of gemm_nr() columns; tile jt
+// occupies the contiguous range packed[jt * k * NR, (jt+1) * k * NR) laid out
+// p-major, i.e. element (p, jt*NR + j) lives at packed[jt*k*NR + p*NR + j].
+// Columns beyond n in the last tile are zero-filled.
 
 /// Width of one packed-B column tile (NR of the micro-kernel).
 std::size_t gemm_nr();
@@ -56,7 +59,7 @@ std::size_t packed_b_size(std::size_t n, std::size_t k);
 void pack_b(std::size_t k, std::size_t n, const float* b, float* packed);
 
 /// C = alpha * A(m x k) * B + beta * C where B is already in packed panel
-/// layout (pack_b / im2col_packed). Bit-identical to gemm() on the same
+/// layout (pack_b / pack_b_t). Bit-identical to gemm() on the same
 /// operands.
 void gemm_packed(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, const float* packed_b, float beta, float* c,
@@ -125,13 +128,37 @@ void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k, float alpha,
                     const float* packed_a, const float* b, float beta, float* c,
                     const Epilogue& epi = {}, util::ExecContext* exec = nullptr);
 
-/// Fully pre-packed variant: A from pack_a / pack_a_t, B from
-/// pack_b / pack_b_t / im2col_packed. The steady-state inference kernel —
-/// no packing work at all on the call path.
-void gemm_prepacked_pb(std::size_t m, std::size_t n, std::size_t k, float alpha,
-                       const float* packed_a, const float* packed_b, float beta,
-                       float* c, const Epilogue& epi = {},
-                       util::ExecContext* exec = nullptr);
+// --- Implicit B -------------------------------------------------------------
+//
+// A convolution's B operand (taps x output positions) never has to exist as
+// a matrix: every tap row is a shifted window of one zero-padded input. An
+// implicit B is read in place — element (p, q) of logical B is
+// b[off[p] + q]. Virtual column q = y * row_w + x is live when x < live_w
+// and lands in C column y * live_w + x; the x >= live_w columns between
+// rows are computed in the register tile but never stored. C is dense,
+// m x (rows * live_w) row-major.
+
+struct ImplicitB {
+  const float* b = nullptr;
+  const std::uint32_t* off = nullptr;  ///< k row offsets into b
+  std::size_t row_w = 0;               ///< virtual columns per C row group
+  std::size_t live_w = 0;              ///< live columns per row group (<= row_w)
+  std::size_t rows = 0;                ///< row groups
+};
+
+/// Floats the kernels may read from b + off[p] for any p: the virtual
+/// columns (rows - 1) * row_w + live_w rounded up to whole NR tiles. The
+/// caller keeps that range readable and finite (a zero tail past its data).
+std::size_t implicit_b_extent(std::size_t row_w, std::size_t live_w, std::size_t rows);
+
+/// C = A * B with A pre-packed (pack_a) and B implicit, epilogue fused into
+/// the writeback of the live columns. Runs the same kernels in the same
+/// K order as gemm_prepacked, so each live C element is bit-identical to
+/// gemm_prepacked on the materialized B. gemm.flops counts live columns
+/// only.
+void gemm_implicit(std::size_t m, std::size_t k, const float* packed_a,
+                   const ImplicitB& b, float* c, const Epilogue& epi,
+                   util::ExecContext* exec = nullptr);
 
 /// Name of the micro-kernel the runtime dispatch selected for this process:
 /// "avx512f", "avx2-fma" or "portable". Recorded in bench JSON host

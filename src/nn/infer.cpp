@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -72,6 +73,31 @@ std::size_t InferencePlan::weight_bytes() const {
   std::size_t bytes = 0;
   for (const Step& s : steps_) bytes += s.packed_w.size() * sizeof(float);
   return bytes;
+}
+
+void InferencePlan::WeightShare::set(std::size_t bytes) noexcept {
+  if (bytes == bytes_) return;
+  // Leaked like the registry, so plans destroyed during static teardown
+  // still find it.
+  struct Live {
+    std::mutex mu;
+    std::size_t bytes = 0;
+    obs::Gauge& gauge = obs::Registry::global().gauge("infer.weight_bytes");
+  };
+  static Live* live = new Live();
+  const std::lock_guard<std::mutex> lock(live->mu);
+  live->bytes = live->bytes - bytes_ + bytes;
+  bytes_ = bytes;
+  live->gauge.set(static_cast<double>(live->bytes));
+}
+
+InferencePlan::WeightShare& InferencePlan::WeightShare::operator=(
+    WeightShare&& other) noexcept {
+  if (this != &other) {
+    set(0);
+    bytes_ = std::exchange(other.bytes_, 0);
+  }
+  return *this;
 }
 
 // ---------------------------------------------------------------------------
@@ -399,9 +425,7 @@ void InferencePlan::finalize() {
   fuse_epilogues();
   assign_slots();
   finalized_ = true;
-  static obs::Gauge& g_weight_bytes =
-      obs::Registry::global().gauge("infer.weight_bytes");
-  g_weight_bytes.set(static_cast<double>(weight_bytes()));
+  weight_share_.set(weight_bytes());
 }
 
 void InferencePlan::compile(Sequential& net,

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "math/conv.hpp"
@@ -60,8 +61,8 @@ class InferencePlan {
 
   // --- graph construction (load time) ---------------------------------------
 
-  /// Total bytes of plan-owned packed weights (finalized plans; also
-  /// exported as the infer.weight_bytes gauge).
+  /// Total bytes of plan-owned packed weights. The infer.weight_bytes gauge
+  /// reads the sum over every live finalized plan.
   std::size_t weight_bytes() const;
 
   /// Declares the external input with its per-sample shape, e.g. {C, H, W}.
@@ -185,6 +186,24 @@ class InferencePlan {
   BufId output_id_ = 0;
 
   util::ExecContext* exec_ = nullptr;
+
+  /// This plan's term of the infer.weight_bytes gauge: added at finalize,
+  /// withdrawn when the plan is destroyed or assigned over; a move hands it
+  /// to the new owner.
+  class WeightShare {
+   public:
+    WeightShare() = default;
+    WeightShare(WeightShare&& other) noexcept : bytes_(std::exchange(other.bytes_, 0)) {}
+    WeightShare& operator=(WeightShare&& other) noexcept;
+    WeightShare(const WeightShare&) = delete;
+    WeightShare& operator=(const WeightShare&) = delete;
+    ~WeightShare() { set(0); }
+    void set(std::size_t bytes) noexcept;
+
+   private:
+    std::size_t bytes_ = 0;
+  };
+  WeightShare weight_share_;
 
   // Arena state (sized by ensure_capacity, reused across calls).
   std::vector<std::size_t> slot_elems_;  ///< per-slot max sample floats

@@ -14,9 +14,13 @@
 //   * the tile ring stays at min(ring_depth, tiles) slots however many
 //     tiles stream through;
 //   * the learned path covers exactly the same owned contacts as the golden
-//     path (divergence smoke with an untrained model).
+//     path (divergence smoke with an untrained model);
+//   * learned tile invariance: every contact's chip-path result is byte-
+//     identical to a standalone batch-1 prediction on the same clip, so the
+//     batch a contact shares with its tile neighbors never shows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -26,6 +30,8 @@
 #include "chip/pipeline.hpp"
 #include "core/config.hpp"
 #include "core/lithogan.hpp"
+#include "data/render.hpp"
+#include "geometry/marching_squares.hpp"
 #include "geometry/primitives.hpp"
 #include "litho/process.hpp"
 #include "litho/simulator.hpp"
@@ -34,7 +40,9 @@
 
 namespace lch = lithogan::chip;
 namespace lc = lithogan::core;
+namespace ld = lithogan::data;
 namespace lg = lithogan::geometry;
+namespace li = lithogan::image;
 namespace ll = lithogan::litho;
 namespace lu = lithogan::util;
 
@@ -505,5 +513,96 @@ TEST(ChipPipeline, LearnedStreamIsByteIdenticalAcrossThreadCounts) {
     lu::ExecContext exec(threads);
     EXPECT_EQ(want, run(&exec)) << "learned stream differs at " << threads
                                 << " threads";
+  }
+}
+
+// Every contact of a small generated chip, through the learned pipeline in
+// full batches, against a standalone batch-1 prediction on the same clip:
+// the clip, render, predict and contour steps spelled out here exactly as
+// the pipeline runs them, with a fresh model and scratch.
+TEST(ChipPipeline, LearnedContactsMatchStandaloneBatchOnePrediction) {
+  const lch::ChipConfig cfg = base_config(3072.0);
+  const lch::ChipLayout layout(calibrated_process(), cfg);
+  lch::ChipPipeline pipe(calibrated_process(), layout);
+
+  lc::LithoGanConfig model_cfg = lc::LithoGanConfig::tiny();
+  model_cfg.image_size = 16;
+  model_cfg.base_channels = 6;
+  model_cfg.max_channels = 24;
+  lc::LithoGan chip_model(model_cfg, lc::Mode::kDualLearning);
+  std::vector<lch::ContactResult> chip;
+  std::size_t widest_tile = 0;
+  pipe.run_learned(chip_model, [&](std::size_t, std::span<const lch::ContactResult> r) {
+    chip.insert(chip.end(), r.begin(), r.end());
+    widest_tile = std::max(widest_tile, r.size());
+  });
+  ASSERT_EQ(chip.size(), layout.contacts().size());
+  ASSERT_GT(widest_tile, 1u) << "no tile batches more than one contact";
+
+  lc::LithoGan model(model_cfg, lc::Mode::kDualLearning);  // same seed, same weights
+  const ll::ProcessConfig& process = calibrated_process();
+  const std::size_t size = model_cfg.image_size;
+  ld::RenderConfig rc;
+  rc.mask_size_px = size;
+  rc.resist_size_px = size;
+  rc.crop_window_nm = process.crop_window_nm;
+  const double extent = process.grid.extent_nm;
+  const double px = rc.crop_window_nm / static_cast<double>(size);
+  ld::Sample sample;
+  li::Image image;
+  const ld::Sample* sample_ptr = &sample;
+  li::Image* image_ptr = &image;
+  lc::PredictScratch scratch;
+  std::vector<std::uint32_t> near;
+  std::vector<double> grid;
+  lg::ContourScratch contour_scratch;
+  std::vector<lg::Polygon> pool;
+  for (const lch::ContactResult& got : chip) {
+    const lch::ChipContact& contact = layout.contacts()[got.contact];
+    const lg::Point center = contact.drawn.center();
+    const lg::Point off{extent / 2.0 - center.x, extent / 2.0 - center.y};
+    lithogan::layout::MaskClip clip;
+    clip.extent_nm = extent;
+    clip.target = contact.drawn.translated(off);
+    clip.target_opc = contact.opc.translated(off);
+    layout.query({{center.x - extent / 2.0, center.y - extent / 2.0},
+                  {center.x + extent / 2.0, center.y + extent / 2.0}},
+                 near);
+    for (const std::uint32_t j : near) {
+      if (j == got.contact) continue;
+      clip.neighbors.push_back(layout.contacts()[j].drawn.translated(off));
+      clip.neighbors_opc.push_back(layout.contacts()[j].opc.translated(off));
+    }
+    ld::render_mask_into(clip, rc, sample.mask_rgb);
+    sample.resist_pixel_nm = px;
+    model.predict_batch_into(std::span<const ld::Sample* const>(&sample_ptr, 1),
+                             std::span<li::Image* const>(&image_ptr, 1), scratch);
+
+    lch::ContactResult want;
+    want.contact = got.contact;
+    want.center_nm = center;
+    grid.resize(size * size);
+    const std::span<const float> ch = image.channel(0);
+    for (std::size_t p = 0; p < size * size; ++p) grid[p] = static_cast<double>(ch[p]);
+    const std::size_t found =
+        lg::extract_contours_into(grid, size, size, 0.5, contour_scratch, pool);
+    const lg::Polygon* best = nullptr;
+    for (std::size_t c = 0; c < found; ++c) {
+      if (best == nullptr || pool[c].area() > best->area()) best = &pool[c];
+    }
+    if (best != nullptr && best->size() >= 3) {
+      const lg::Point org{center.x - rc.crop_window_nm / 2.0 + 0.5 * px,
+                          center.y - rc.crop_window_nm / 2.0 + 0.5 * px};
+      want.printed = true;
+      for (const lg::Point& v : best->vertices()) {
+        want.contour.push_back({org.x + v.x * px, org.y + v.y * px});
+      }
+      const lg::Rect box = best->bounding_box();
+      want.cd_width_nm = box.width() * px;
+      want.cd_height_nm = box.height() * px;
+      want.center_nm = {org.x + box.center().x * px, org.y + box.center().y * px};
+    }
+    EXPECT_EQ(serialize({{0, {got}}}), serialize({{0, {want}}}))
+        << "contact " << got.contact << " differs from its batch-1 prediction";
   }
 }

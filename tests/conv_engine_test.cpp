@@ -1,16 +1,20 @@
 // Convolution-engine gates (math/conv.hpp):
 //
-//   * the im2col-GEMM forward and the deconv writeback agree with naive
+//   * the implicit-GEMM forward and the deconv writeback agree with naive
 //     double-accumulated references within tolerance on prime/odd shapes;
+//   * the forward is byte-identical to row-major im2col -> gemm ->
+//     bias/activation sweep (the keystone: every lite conv, strides 1-3,
+//     kernels 1-7, every pad up to the kernel, raw and prepacked weights,
+//     batch 1 and 5, serial and 1/2/8 threads);
 //   * the deconv writeback is byte-identical to GEMM + col2im scatter into
 //     zeros + bias/activation sweep;
-//   * the forward is bit-identical across thread counts (serial, 1, 2 and
-//     8) and between raw and prepacked weights;
+//   * gemm.flops counts only the live output columns;
+//   * the entry points reject calls that pass both or neither weight form;
 //   * the plan cache actually reuses plans (conv.plan_cache.{hit,miss}
 //     counter deltas plus shared_ptr identity).
 //
 // Tier2-labelled: `ctest -L tier2` under -DLITHOGAN_SANITIZE=address|thread
-// sweeps the engine's packing paths with sanitizers.
+// sweeps the engine's phase-plane reads and packing paths with sanitizers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "math/conv.hpp"
 #include "math/gemm.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/exec_context.hpp"
 #include "util/workspace.hpp"
 
@@ -190,6 +195,33 @@ std::vector<float> scatter_deconv(const lm::ConvPlan& plan, const float* x,
   return y;
 }
 
+// Conv forward spelled out in the engine's primitives: row-major im2col,
+// one GEMM per sample on raw weights, then a bias and activation sweep.
+std::vector<float> im2col_gemm_conv(const lm::ConvPlan& plan, std::size_t batch,
+                                    const std::vector<float>& src,
+                                    const std::vector<float>& weights,
+                                    const lm::Epilogue& epi) {
+  const lm::ConvKey& k = plan.key;
+  const std::size_t in_elems = k.in_c * k.in_h * k.in_w;
+  const std::size_t out_elems = k.out_c * plan.cols;
+  std::vector<float> col(plan.rows * plan.cols);
+  std::vector<float> y(batch * out_elems, std::nanf(""));
+  for (std::size_t n = 0; n < batch; ++n) {
+    lm::im2col(src.data() + n * in_elems, k.in_c, k.in_h, k.in_w, k.kernel, k.stride,
+               k.pad, col.data());
+    float* yn = y.data() + n * out_elems;
+    lm::gemm(k.out_c, plan.cols, plan.rows, 1.0f, weights.data(), col.data(), 0.0f, yn);
+    for (std::size_t oc = 0; oc < k.out_c; ++oc) {
+      for (std::size_t i = 0; i < plan.cols; ++i) {
+        float& v = yn[oc * plan.cols + i];
+        if (epi.bias != nullptr) v = v + epi.bias[oc];
+        v = act_f(epi.act, v, epi.slope);
+      }
+    }
+  }
+  return y;
+}
+
 std::uint64_t counter(const char* name) {
   return lo::Registry::global().counter_value(name);
 }
@@ -198,13 +230,11 @@ struct Geometry {
   std::size_t in_c, h, w, out_c, k, stride, pad;
 };
 
-// Runs the forward plan for `g` over `batch` samples.
-std::vector<float> run_forward(const Geometry& g, std::size_t batch,
-                               const std::vector<float>& src,
+// Runs the forward plan for `g` over one sample, serially, on raw weights.
+std::vector<float> run_forward(const Geometry& g, const std::vector<float>& src,
                                const std::vector<float>& weights,
                                const std::vector<float>& bias, lm::Activation act,
-                               float slope, lu::ExecContext* exec,
-                               bool use_prepacked = false) {
+                               float slope) {
   const auto plan = lm::conv_plan(
       {lm::ConvDir::kConv, g.in_c, g.h, g.w, g.out_c, g.k, g.stride, g.pad, 0});
 
@@ -214,16 +244,10 @@ std::vector<float> run_forward(const Geometry& g, std::size_t batch,
   epi.act = act;
   epi.slope = slope;
 
-  std::vector<float> dst(batch * g.out_c * plan->out_h * plan->out_w);
+  std::vector<float> dst(g.out_c * plan->out_h * plan->out_w);
   lu::Workspace ws;
-  if (use_prepacked) {
-    const std::vector<float> packed = lm::pack_conv_weights(*plan, weights.data());
-    lm::conv2d_forward(*plan, batch, src.data(), nullptr, packed.data(), epi,
-                       dst.data(), exec, ws);
-  } else {
-    lm::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, epi,
-                       dst.data(), exec, ws);
-  }
+  lm::conv2d_forward(*plan, 1, src.data(), weights.data(), nullptr, epi, dst.data(),
+                     nullptr, ws);
   return dst;
 }
 
@@ -248,8 +272,8 @@ TEST(ConvEngine, ForwardMatchesNaiveReferenceOnPrimeShapes) {
     const std::vector<double> want =
         naive_conv(src, g.in_c, g.h, g.w, weights, g.out_c, g.k, g.stride, g.pad,
                    bias, lm::Activation::kLeakyRelu, 0.2f);
-    const std::vector<float> got = run_forward(
-        g, 1, src, weights, bias, lm::Activation::kLeakyRelu, 0.2f, nullptr);
+    const std::vector<float> got =
+        run_forward(g, src, weights, bias, lm::Activation::kLeakyRelu, 0.2f);
     // Float accumulation lands comfortably inside 1e-4 of the double
     // reference at these magnitudes.
     expect_close(got, want, 1e-4, "conv");
@@ -333,38 +357,114 @@ TEST(ConvEngine, DeconvWritebackBitIdenticalToScatter) {
   }
 }
 
-// Bit-identity across thread counts: the chunked dispatch may change which
-// thread computes a sample, never what it computes. Batch 5 so the
-// batch-parallel outer level engages; serial (no context) is the reference.
-TEST(ConvEngine, ForwardBitIdenticalAcrossThreadCounts) {
-  const Geometry g{3, 17, 13, 5, 5, 1, 2};
-  const std::size_t batch = 5;
-  const std::vector<float> src = synth_vec(batch * g.in_c * g.h * g.w, 211);
-  const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 2111);
-  const std::vector<float> bias = synth_vec(g.out_c, 9643);
-  const std::vector<float> ref =
-      run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, nullptr);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    lu::ExecContext exec(threads);
-    const std::vector<float> got =
-        run_forward(g, batch, src, weights, bias, lm::Activation::kTanh, 0.2f, &exec);
-    EXPECT_TRUE(bit_equal(got, ref)) << "threads=" << threads;
+// The keystone: the implicit GEMM reads each tap row in place from the
+// padded phase planes, runs the same kernels in the same K order as a GEMM
+// on the materialized column matrix and stores only live columns — so it
+// must match im2col -> gemm -> bias/activation sweep byte for byte,
+// written into NaN-poisoned outputs, on every geometry the models use and
+// on the edges of the phase layout.
+TEST(ConvEngine, ForwardBitIdenticalToIm2colGemm) {
+  std::vector<Geometry> geoms = {
+      // The nine lite convs: center CNN, then generator L0-L5.
+      {3, 64, 64, 8, 7, 1, 3},    {8, 32, 32, 16, 3, 1, 1},   {16, 16, 16, 16, 3, 1, 1},
+      {3, 64, 64, 16, 5, 2, 2},   {16, 32, 32, 32, 5, 2, 2},  {32, 16, 16, 64, 5, 2, 2},
+      {64, 8, 8, 128, 5, 2, 2},   {128, 4, 4, 128, 5, 2, 2},  {128, 2, 2, 128, 5, 2, 2},
+      // 1x1 outputs, and Ho*Wo past one column tile over several K blocks.
+      {3, 5, 5, 4, 5, 1, 0},      {2, 3, 3, 3, 3, 2, 0},      {1, 1, 1, 2, 3, 3, 1},
+      {12, 13, 11, 10, 5, 1, 2},
+  };
+  // Strides 1-3 against kernels 1-7 with every pad up to the kernel, on a
+  // non-square input: stride > kernel leaves phases no tap reads, pad =
+  // kernel leaves taps that read padding only.
+  for (const std::size_t stride : {1, 2, 3}) {
+    for (const std::size_t k : {1, 3, 5, 7}) {
+      for (std::size_t pad = 0; pad <= k; ++pad) {
+        geoms.push_back({2, 9, 7 + stride, 3, k, stride, pad});
+      }
+    }
+  }
+  const lm::Activation acts[] = {lm::Activation::kIdentity, lm::Activation::kRelu,
+                                 lm::Activation::kLeakyRelu, lm::Activation::kTanh,
+                                 lm::Activation::kSigmoid};
+  lu::ExecContext exec1(1);
+  lu::ExecContext exec2(2);
+  lu::ExecContext exec8(8);
+  lu::ExecContext* const execs[] = {nullptr, &exec1, &exec2, &exec8};
+  std::size_t case_index = 0;
+  for (const Geometry& g : geoms) {
+    if (g.h + 2 * g.pad < g.k || g.w + 2 * g.pad < g.k) continue;
+    const auto plan = lm::conv_plan(
+        {lm::ConvDir::kConv, g.in_c, g.h, g.w, g.out_c, g.k, g.stride, g.pad, 0});
+    const std::vector<float> weights = synth_vec(g.out_c * plan->rows, 613);
+    const std::vector<float> packed = lm::pack_conv_weights(*plan, weights.data());
+    const std::vector<float> bias = synth_vec(g.out_c, 7919);
+    lm::Epilogue epi;
+    epi.bias = case_index % 3 == 2 ? nullptr : bias.data();
+    epi.act = acts[case_index % 5];
+    epi.slope = 0.2f;
+    ++case_index;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
+      std::vector<float> src = synth_vec(batch * g.in_c * g.h * g.w, 89);
+      for (std::size_t i = 0; i < src.size(); i += 11) src[i] = -0.0f;
+      const std::vector<float> want = im2col_gemm_conv(*plan, batch, src, weights, epi);
+      for (lu::ExecContext* exec : execs) {
+        for (const bool prepacked : {false, true}) {
+          std::vector<float> got(want.size(), std::nanf(""));
+          lu::Workspace ws;
+          lm::conv2d_forward(*plan, batch, src.data(), prepacked ? nullptr : weights.data(),
+                             prepacked ? packed.data() : nullptr, epi, got.data(), exec, ws);
+          EXPECT_TRUE(bit_equal(got, want))
+              << g.in_c << "x" << g.h << "x" << g.w << " -> " << g.out_c << " k" << g.k
+              << " s" << g.stride << " p" << g.pad << " batch=" << batch
+              << " threads=" << (exec == nullptr ? 0 : exec->threads())
+              << " prepacked=" << prepacked;
+        }
+      }
+    }
   }
 }
 
-// Prepacked constants are a layout change, not a numeric one.
-TEST(ConvEngine, PrepackedWeightsBitIdenticalToRaw) {
-  const Geometry g{4, 11, 13, 6, 3, 1, 1};
-  const std::vector<float> src = synth_vec(g.in_c * g.h * g.w, 401);
-  const std::vector<float> weights = synth_vec(g.out_c * g.in_c * g.k * g.k, 3301);
-  const std::vector<float> bias = synth_vec(g.out_c, 11003);
-  const std::vector<float> raw =
-      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-                  /*use_prepacked=*/false);
-  const std::vector<float> packed =
-      run_forward(g, 1, src, weights, bias, lm::Activation::kSigmoid, 0.2f, nullptr,
-                  /*use_prepacked=*/true);
-  EXPECT_TRUE(bit_equal(raw, packed));
+// gemm.flops keeps meaning live math: the virtual columns between output
+// rows are computed in the register tile but never counted.
+TEST(ConvEngine, ForwardCountsOnlyLiveFlops) {
+  const Geometry geoms[] = {{3, 17, 13, 5, 5, 2, 2}, {4, 11, 13, 6, 3, 1, 1}};
+  for (const Geometry& g : geoms) {
+    const std::size_t batch = 3;
+    const auto plan = lm::conv_plan(
+        {lm::ConvDir::kConv, g.in_c, g.h, g.w, g.out_c, g.k, g.stride, g.pad, 0});
+    const std::vector<float> src = synth_vec(batch * g.in_c * g.h * g.w, 5);
+    const std::vector<float> weights = synth_vec(g.out_c * plan->rows, 6);
+    std::vector<float> dst(batch * g.out_c * plan->cols);
+    lu::Workspace ws;
+    const std::uint64_t before = counter("gemm.flops");
+    lm::conv2d_forward(*plan, batch, src.data(), weights.data(), nullptr, {}, dst.data(),
+                       nullptr, ws);
+    EXPECT_EQ(counter("gemm.flops") - before,
+              2 * g.out_c * plan->out_h * plan->out_w * g.in_c * g.k * g.k * batch)
+        << "k" << g.k << " s" << g.stride;
+  }
+}
+
+// Exactly one weight form: both or neither is a caller bug, not a choice.
+TEST(ConvEngine, ForwardRejectsAmbiguousWeights) {
+  const auto conv = lm::conv_plan({lm::ConvDir::kConv, 2, 5, 5, 3, 3, 1, 1, 0});
+  const auto deconv = lm::conv_plan({lm::ConvDir::kDeconv, 2, 3, 3, 3, 3, 2, 1, 1});
+  const std::vector<float> src(2 * 5 * 5, 1.0f);
+  const std::vector<float> w(64 * 64, 0.5f);
+  std::vector<float> dst(3 * 25 * 4);
+  lu::Workspace ws;
+  EXPECT_THROW(lm::conv2d_forward(*conv, 1, src.data(), nullptr, nullptr, {}, dst.data(),
+                                  nullptr, ws),
+               lu::Error);
+  EXPECT_THROW(lm::conv2d_forward(*conv, 1, src.data(), w.data(), w.data(), {},
+                                  dst.data(), nullptr, ws),
+               lu::Error);
+  EXPECT_THROW(lm::deconv2d_forward(*deconv, 1, src.data(), nullptr, nullptr, {},
+                                    dst.data(), nullptr, ws),
+               lu::Error);
+  EXPECT_THROW(lm::deconv2d_forward(*deconv, 1, src.data(), w.data(), w.data(), {},
+                                    dst.data(), nullptr, ws),
+               lu::Error);
 }
 
 // The cache must hand back the same plan object on a repeated key (hit

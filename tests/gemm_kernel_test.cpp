@@ -181,7 +181,7 @@ struct Gather {
 };
 
 // Element (p, q) of the (C*k*k) x (Ho*Wo) column matrix, one element at a
-// time: the per-element gather both engine layouts must reproduce.
+// time: the per-element gather im2col must reproduce.
 float reference_tap(const std::vector<float>& src, const Gather& g, std::size_t out_w,
                     std::size_t p, std::size_t q) {
   const std::size_t c = p / (g.kernel * g.kernel);
@@ -199,7 +199,7 @@ float reference_tap(const std::vector<float>& src, const Gather& g, std::size_t 
              static_cast<std::size_t>(ix)];
 }
 
-TEST(GemmKernelTest, Im2colLayoutsMatchReferenceGather) {
+TEST(GemmKernelTest, Im2colMatchesReferenceGather) {
   const Gather geoms[] = {
       // The nine lite conv geometries: center CNN, then generator L0-L5.
       {3, 64, 64, 7, 1, 3},
@@ -224,7 +224,6 @@ TEST(GemmKernelTest, Im2colLayoutsMatchReferenceGather) {
       {4, 3, 3, 3, 1, 0},
   };
   util::Rng rng(5);
-  const std::size_t nr = math::gemm_nr();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const Gather& g : geoms) {
     const std::size_t out_h = math::conv_out_size(g.height, g.kernel, g.stride, g.pad);
@@ -233,15 +232,11 @@ TEST(GemmKernelTest, Im2colLayoutsMatchReferenceGather) {
     const std::size_t cols = out_h * out_w;
     const auto src = random_matrix(g.channels * g.height * g.width, rng);
 
-    // Row-major: (p, q) at p * cols + q. Packed: tile q / NR at lane
-    // q % NR, p-major inside the tile; lanes past cols stay zero.
+    // Row-major: (p, q) at p * cols + q.
     std::vector<float> want_col(rows * cols);
-    std::vector<float> want_packed(math::packed_b_size(cols, rows), 0.0f);
     for (std::size_t p = 0; p < rows; ++p) {
       for (std::size_t q = 0; q < cols; ++q) {
-        const float v = reference_tap(src, g, out_w, p, q);
-        want_col[p * cols + q] = v;
-        want_packed[q / nr * rows * nr + p * nr + q % nr] = v;
+        want_col[p * cols + q] = reference_tap(src, g, out_w, p, q);
       }
     }
 
@@ -250,14 +245,6 @@ TEST(GemmKernelTest, Im2colLayoutsMatchReferenceGather) {
                  col.data());
     EXPECT_EQ(0, std::memcmp(want_col.data(), col.data(), col.size() * sizeof(float)))
         << "im2col C=" << g.channels << " " << g.height << "x" << g.width
-        << " k=" << g.kernel << " s=" << g.stride << " p=" << g.pad;
-
-    std::vector<float> packed(want_packed.size(), nan);
-    math::im2col_packed(src.data(), g.channels, g.height, g.width, g.kernel, g.stride,
-                        g.pad, packed.data());
-    EXPECT_EQ(0, std::memcmp(want_packed.data(), packed.data(),
-                             packed.size() * sizeof(float)))
-        << "im2col_packed C=" << g.channels << " " << g.height << "x" << g.width
         << " k=" << g.kernel << " s=" << g.stride << " p=" << g.pad;
   }
 }

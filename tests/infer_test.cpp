@@ -13,10 +13,13 @@
 //     for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -46,6 +49,7 @@ namespace ld = lithogan::data;
 namespace li = lithogan::image;
 namespace lm = lithogan::math;
 namespace ln = lithogan::nn;
+namespace lo = lithogan::obs;
 namespace lu = lithogan::util;
 
 namespace {
@@ -170,12 +174,18 @@ TEST(FusedEpilogue, PrepackedMatchesOnTheFlyPacking) {
   lm::gemm_prepacked(m, n, k, 1.0f, packed_a.data(), b.data(), 0.0f, out.data());
   EXPECT_EQ(std::memcmp(ref.data(), out.data(), ref.size() * sizeof(float)), 0);
 
-  // Fully prepacked variant (both operands).
-  std::vector<float> packed_b(lm::packed_b_size(n, k));
-  lm::pack_b(k, n, b.data(), packed_b.data());
-  std::vector<float> out2(m * n, 0.0f);
-  lm::gemm_prepacked_pb(m, n, k, 1.0f, packed_a.data(), packed_b.data(), 0.0f,
-                        out2.data());
+  // Implicit B over the same matrix: rows padded to whole column tiles,
+  // row p found through its offset p * ld.
+  const std::size_t ld = lm::implicit_b_extent(n, n, 1);
+  std::vector<float> b_rows(k * ld, 0.0f);
+  std::vector<std::uint32_t> off(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    std::copy_n(b.data() + p * n, n, b_rows.data() + p * ld);
+    off[p] = static_cast<std::uint32_t>(p * ld);
+  }
+  std::vector<float> out2(m * n, std::nanf(""));
+  lm::gemm_implicit(m, k, packed_a.data(), {b_rows.data(), off.data(), n, n, 1},
+                    out2.data(), {});
   EXPECT_EQ(std::memcmp(ref.data(), out2.data(), ref.size() * sizeof(float)), 0);
 
   // pack_a_t: packing the transpose of A stored as (k, m).
@@ -281,6 +291,42 @@ TEST(InferencePlan, FusionShrinksStepProgram) {
   // Every Conv/Deconv directly followed by an activation fuses; the plan
   // must have strictly fewer steps than the network has layers.
   EXPECT_LT(plan.step_count(), gen->layer_count());
+}
+
+// infer.weight_bytes is the sum over live finalized plans: a second compile
+// adds to it instead of overwriting it, destroying a plan withdraws that
+// plan's bytes, and a move hands the bytes over without counting them twice.
+TEST(InferencePlan, WeightBytesGaugeSumsLivePlans) {
+  const lc::LithoGanConfig cfg = test_config();
+  const std::vector<std::size_t> shape{cfg.mask_channels, cfg.image_size,
+                                       cfg.image_size};
+  lu::Rng rng(17);
+  auto gen = lc::build_generator(cfg, rng);
+  auto cnn = lc::build_center_cnn(cfg, rng);
+  const auto gauge = [] {
+    return lo::Registry::global().gauge("infer.weight_bytes").value();
+  };
+  const double base = gauge();
+
+  auto gen_plan = std::make_unique<ln::InferencePlan>();
+  gen_plan->compile(*gen, shape);
+  const double gen_bytes = static_cast<double>(gen_plan->weight_bytes());
+  ASSERT_GT(gen_bytes, 0.0);
+  EXPECT_EQ(gauge(), base + gen_bytes);
+  {
+    ln::InferencePlan cnn_plan;
+    cnn_plan.compile(*cnn, shape);
+    const double cnn_bytes = static_cast<double>(cnn_plan.weight_bytes());
+    ASSERT_GT(cnn_bytes, 0.0);
+    EXPECT_EQ(gauge(), base + gen_bytes + cnn_bytes);
+  }
+  EXPECT_EQ(gauge(), base + gen_bytes) << "destroyed plan still counted";
+
+  ln::InferencePlan moved(std::move(*gen_plan));
+  gen_plan.reset();
+  EXPECT_EQ(gauge(), base + gen_bytes) << "move must carry the bytes once";
+  moved = ln::InferencePlan();
+  EXPECT_EQ(gauge(), base);
 }
 
 TEST(InferencePlan, ZeroSteadyStateAllocations) {
