@@ -4,9 +4,14 @@
 // runtime reproduction.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "geometry/marching_squares.hpp"
 #include "litho/simulator.hpp"
 #include "math/fft.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 using namespace lithogan;
@@ -96,22 +101,54 @@ static void BM_Develop(benchmark::State& state) {
 }
 BENCHMARK(BM_Develop)->ArgName("band")->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
+// Contour extraction through a warm ContourScratch, as the chip path runs
+// it. Arg 0 is a smooth 128 x 128 field: few contours over many cells, the
+// golden-tile regime. Arg 1 is a seeded noisy 64 x 64 grid with about 2,000
+// segments, the regime of the untrained lite generator's outputs on the
+// learned path. The `segments` counter reads geometry.contour_segments per
+// extraction.
 static void BM_MarchingSquares(benchmark::State& state) {
-  const std::size_t n = 128;
+  const bool noisy = state.range(0) == 1;
+  const std::size_t n = noisy ? 64 : 128;
   std::vector<double> grid(n * n);
-  for (std::size_t y = 0; y < n; ++y) {
-    for (std::size_t x = 0; x < n; ++x) {
-      const double dx = static_cast<double>(x) - 64.0;
-      const double dy = static_cast<double>(y) - 64.0;
-      grid[y * n + x] = std::cos(dx / 6.0) * std::cos(dy / 6.0) -
-                        0.3 * std::exp(-(dx * dx + dy * dy) / 900.0);
+  if (noisy) {
+    // A 3 x 3 box blur of (n + 2)^2 uniform noise links neighbouring
+    // crossings into longer chains, as a generator's output has.
+    util::Rng rng(18);
+    const std::size_t m = n + 2;
+    std::vector<double> raw(m * m);
+    for (double& v : raw) v = rng.uniform();
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) {
+        double sum = 0.0;
+        for (std::size_t k = 0; k < 9; ++k) sum += raw[(y + k / 3) * m + x + k % 3];
+        grid[y * n + x] = sum / 9.0;
+      }
+    }
+  } else {
+    for (std::size_t y = 0; y < n; ++y) {
+      for (std::size_t x = 0; x < n; ++x) {
+        const double dx = static_cast<double>(x) - 64.0;
+        const double dy = static_cast<double>(y) - 64.0;
+        grid[y * n + x] = std::cos(dx / 6.0) * std::cos(dy / 6.0) -
+                          0.3 * std::exp(-(dx * dx + dy * dy) / 900.0);
+      }
     }
   }
+  const double threshold = noisy ? 0.5 : 0.2;
+  geometry::ContourScratch scratch;
+  std::vector<geometry::Polygon> contours;
+  const obs::Counter& segments =
+      obs::Registry::global().counter("geometry.contour_segments");
+  const std::uint64_t before = segments.value();
   for (auto _ : state) {
-    auto contours = geometry::extract_contours(grid, n, n, 0.2);
-    benchmark::DoNotOptimize(contours.data());
+    const std::size_t found =
+        geometry::extract_contours_into(grid, n, n, threshold, scratch, contours);
+    benchmark::DoNotOptimize(found);
   }
+  state.counters["segments"] = static_cast<double>(segments.value() - before) /
+                               static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_MarchingSquares);
+BENCHMARK(BM_MarchingSquares)->ArgName("noisy")->Arg(0)->Arg(1);
 
 BENCHMARK_MAIN();

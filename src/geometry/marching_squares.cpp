@@ -5,20 +5,19 @@
 #include <cstdint>
 #include <limits>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace lithogan::geometry {
 
 namespace {
 
-// A grid edge is identified by its lower-left lattice point and orientation
-// (0 = horizontal toward +x, 1 = vertical toward +y). Every contour vertex
-// lies on exactly one grid edge, which makes stitching exact — no floating
-// point key comparisons.
-std::uint64_t edge_key(std::size_t x, std::size_t y, int orientation, std::size_t width) {
-  return ((static_cast<std::uint64_t>(y) * width + x) << 1) |
-         static_cast<std::uint64_t>(orientation);
-}
+constexpr std::uint32_t kNoMate = ContourScratch::kNoMate;
+
+// A saddle cell emits two segments, and segment ends are numbered
+// 2 * index + side in 32 bits, so the worst case of two segments per cell
+// must fit the int32 segment index.
+constexpr std::size_t kMaxCells = std::numeric_limits<std::int32_t>::max() / 2;
 
 // Interpolated crossing on the edge from lattice point (x0,y0) (value v0) to
 // (x1,y1) (value v1).
@@ -30,17 +29,32 @@ Point interpolate(double x0, double y0, double v0, double x1, double y1, double 
   return {x0 + tc * (x1 - x0), y0 + tc * (y1 - y0)};
 }
 
+enum class Side { kBottom, kRight, kTop, kLeft };
+
 }  // namespace
 
 std::size_t extract_contours_into(std::span<const double> grid, std::size_t width,
                                   std::size_t height, double threshold,
                                   ContourScratch& scratch, std::vector<Polygon>& out) {
+  LITHOGAN_REQUIRE(
+      height == 0 || width <= std::numeric_limits<std::size_t>::max() / height,
+      "grid dimensions overflow");
+  LITHOGAN_REQUIRE(width < 2 || height < 2 || (width - 1) * (height - 1) <= kMaxCells,
+                   "grid exceeds the 32-bit segment index");
   LITHOGAN_REQUIRE(grid.size() == width * height, "grid size mismatch");
   auto& segments = scratch.segments;
   segments.clear();
-  auto& edges = scratch.edges;
-  edges.clear();
   if (width < 2 || height < 2) return 0;
+
+  // Each crossed grid edge carries one segment end from each cell beside it
+  // (one on the border). The scan runs rows bottom to top and cells left to
+  // right, so the cell below has left its top-edge end in `column_ends[cx]`
+  // and the cell to the left its right-edge end in `right_end`; a cell links
+  // its bottom and left ends to those. A slot is read only when its edge is
+  // crossed, which means this call already wrote it, so none is cleared.
+  auto& column_ends = scratch.column_ends;
+  column_ends.resize(width - 1);
+  std::uint32_t right_end = kNoMate;
 
   const auto value = [&](std::size_t x, std::size_t y) { return grid[y * width + x]; };
 
@@ -61,67 +75,81 @@ std::size_t extract_contours_into(std::span<const double> grid, std::size_t widt
       const double x = static_cast<double>(cx);
       const double y = static_cast<double>(cy);
 
-      // Crossing points and keys for the four cell edges.
+      // Crossing points on the four cell edges.
       const Point bottom = interpolate(x, y, v00, x + 1, y, v10, threshold);
       const Point right = interpolate(x + 1, y, v10, x + 1, y + 1, v11, threshold);
       const Point top = interpolate(x, y + 1, v01, x + 1, y + 1, v11, threshold);
       const Point left = interpolate(x, y, v00, x, y + 1, v01, threshold);
 
-      const std::uint64_t kb = edge_key(cx, cy, 0, width);
-      const std::uint64_t kr = edge_key(cx + 1, cy, 1, width);
-      const std::uint64_t kt = edge_key(cx, cy + 1, 0, width);
-      const std::uint64_t kl = edge_key(cx, cy, 1, width);
+      // Read the incoming ends before a saddle's first segment overwrites
+      // the slots with this cell's own top and right ends.
+      const std::uint32_t below_end = cy > 0 ? column_ends[cx] : kNoMate;
+      const std::uint32_t left_end = cx > 0 ? right_end : kNoMate;
 
-      const auto emit = [&](std::uint64_t ka2, const Point& pa, std::uint64_t kb2,
-                            const Point& pb) {
-        segments.push_back(ContourScratch::Segment{ka2, kb2, pa, pb});
+      const auto link = [&](std::uint32_t end, Side side) {
+        std::uint32_t mate = kNoMate;
+        switch (side) {
+          case Side::kBottom: mate = below_end; break;
+          case Side::kLeft: mate = left_end; break;
+          case Side::kTop: column_ends[cx] = end; return;
+          case Side::kRight: right_end = end; return;
+        }
+        if (mate == kNoMate) return;
+        segments[end >> 1].mate[end & 1] = mate;
+        segments[mate >> 1].mate[mate & 1] = end;
+      };
+      const auto emit = [&](Side sa, const Point& pa, Side sb, const Point& pb) {
+        const auto end = static_cast<std::uint32_t>(2 * segments.size());
+        segments.push_back(ContourScratch::Segment{{pa, pb}, {kNoMate, kNoMate}});
+        link(end, sa);
+        link(end + 1, sb);
       };
 
       switch (caseIndex) {
         case 1:
         case 14:
-          emit(kl, left, kb, bottom);
+          emit(Side::kLeft, left, Side::kBottom, bottom);
           break;
         case 2:
         case 13:
-          emit(kb, bottom, kr, right);
+          emit(Side::kBottom, bottom, Side::kRight, right);
           break;
         case 3:
         case 12:
-          emit(kl, left, kr, right);
+          emit(Side::kLeft, left, Side::kRight, right);
           break;
         case 4:
         case 11:
-          emit(kr, right, kt, top);
+          emit(Side::kRight, right, Side::kTop, top);
           break;
         case 6:
         case 9:
-          emit(kb, bottom, kt, top);
+          emit(Side::kBottom, bottom, Side::kTop, top);
           break;
         case 7:
         case 8:
-          emit(kl, left, kt, top);
+          emit(Side::kLeft, left, Side::kTop, top);
           break;
         case 5: {
           // Saddle: disambiguate with the cell-center average.
           const double center = (v00 + v10 + v11 + v01) / 4.0;
           if (center >= threshold) {
-            emit(kl, left, kt, top);
-            emit(kb, bottom, kr, right);
+            emit(Side::kLeft, left, Side::kTop, top);
+            emit(Side::kBottom, bottom, Side::kRight, right);
           } else {
-            emit(kl, left, kb, bottom);
-            emit(kr, right, kt, top);
+            emit(Side::kLeft, left, Side::kBottom, bottom);
+            emit(Side::kRight, right, Side::kTop, top);
           }
           break;
         }
         case 10: {
           const double center = (v00 + v10 + v11 + v01) / 4.0;
           if (center >= threshold) {
-            emit(kl, left, kb, bottom);
-            emit(kr, right, kt, top);
+            emit(Side::kLeft, left, Side::kBottom, bottom);
+            emit(Side::kRight, right, Side::kTop, top);
           } else {
-            emit(kl, left, kt, top);
-            emit(kb, bottom, kr, right);
+            emit(Side::kLeft, left, Side::kTop, top);
+            emit(Side::kBottom, bottom, Side::kRight, right);
           }
           break;
         }
@@ -130,69 +158,45 @@ std::size_t extract_contours_into(std::span<const double> grid, std::size_t widt
       }
     }
   }
+  static obs::Counter& emitted =
+      obs::Registry::global().counter("geometry.contour_segments");
+  emitted.add(segments.size());
 
-  // Index segments by their edge keys: each grid edge borders at most two
-  // cells, hence at most two segments per key. Sorting (key, index) pairs
-  // reproduces the insertion order a per-key slot array would see — indices
-  // are linked in ascending order — so the walk below visits neighbors in
-  // exactly the same order as the historical hash-map implementation.
-  edges.reserve(segments.size() * 2);
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    edges.emplace_back(segments[i].key_a, static_cast<std::int32_t>(i));
-    edges.emplace_back(segments[i].key_b, static_cast<std::int32_t>(i));
-  }
-  std::sort(edges.begin(), edges.end());
-
-  const auto neighbor = [&](std::uint64_t key, std::ptrdiff_t self) -> std::ptrdiff_t {
-    auto it = std::lower_bound(
-        edges.begin(), edges.end(), key,
-        [](const std::pair<std::uint64_t, std::int32_t>& e, std::uint64_t k) {
-          return e.first < k;
-        });
-    for (; it != edges.end() && it->first == key; ++it) {
-      if (it->second != self) return it->second;
-    }
-    return -1;
-  };
-
+  // Walk the links. An end id is 2 * segment + side; `e ^ 1` is the other
+  // end of the same segment.
   std::size_t count = 0;
-  for (std::size_t start = 0; start < segments.size(); ++start) {
+  for (std::uint32_t start = 0; start < segments.size(); ++start) {
     if (segments[start].used) continue;
 
-    // Walk backwards first so open chains begin at a true endpoint.
-    std::ptrdiff_t head = static_cast<std::ptrdiff_t>(start);
-    std::uint64_t head_entry = segments[start].key_a;
+    // Walk backwards first so open chains begin at a true endpoint; `head`
+    // is the end the chain enters its first segment through. Links pair
+    // ends one to one, so a chain is walked whole the first time any of its
+    // segments is reached here, and this walk meets no used segment.
+    std::uint32_t head = 2 * start;
     while (true) {
-      const std::ptrdiff_t prev = neighbor(head_entry, head);
-      if (prev < 0 || segments[static_cast<std::size_t>(prev)].used) break;
-      if (prev == static_cast<std::ptrdiff_t>(start)) break;  // closed loop
-      const ContourScratch::Segment& ps = segments[static_cast<std::size_t>(prev)];
-      head_entry = (ps.key_a == head_entry) ? ps.key_b : ps.key_a;
-      head = prev;
-      if (head == static_cast<std::ptrdiff_t>(start)) break;  // safety
+      const std::uint32_t prev = segments[head >> 1].mate[head & 1];
+      if (prev == kNoMate || (prev >> 1) == start) break;  // endpoint or closed loop
+      head = prev ^ 1;
     }
 
     // Forward walk collecting vertices into a pooled output slot.
     if (count == out.size()) out.emplace_back();
     Polygon& poly = out[count];
     poly.clear();
-    std::ptrdiff_t cur = head;
-    std::uint64_t entry = head_entry;
-    while (cur >= 0 && !segments[static_cast<std::size_t>(cur)].used) {
-      ContourScratch::Segment& seg = segments[static_cast<std::size_t>(cur)];
+    for (std::uint32_t entry = head;;) {
+      ContourScratch::Segment& seg = segments[entry >> 1];
       seg.used = true;
-      const bool forward = (seg.key_a == entry);
-      poly.push_back(forward ? seg.a : seg.b);
-      const std::uint64_t exit = forward ? seg.key_b : seg.key_a;
-      const std::ptrdiff_t next = neighbor(exit, cur);
-      if (next < 0) {
-        poly.push_back(forward ? seg.b : seg.a);  // open chain: keep last point
+      poly.push_back(seg.point[entry & 1]);
+      const std::uint32_t exit = entry ^ 1;
+      const std::uint32_t next = seg.mate[exit & 1];
+      if (next == kNoMate) {
+        poly.push_back(seg.point[exit & 1]);  // open chain: keep last point
         break;
       }
-      entry = exit;
-      cur = next;
+      if (segments[next >> 1].used) break;  // closed loop
+      entry = next;
     }
-    if (poly.size() >= 2) ++count;
+    ++count;  // an open chain keeps both ends, a loop has four or more vertices
   }
 
   return count;

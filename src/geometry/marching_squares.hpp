@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "geometry/polygon.hpp"
@@ -23,6 +22,10 @@ namespace lithogan::geometry {
 /// physical units. Closed contours are returned as closed polygons; contours
 /// that leave the grid are returned as open chains (still as Polygon).
 /// Ambiguous saddle cells are resolved with the cell-center average.
+/// Throws util::InvalidArgument if `width * height` overflows or differs
+/// from `grid.size()`, or if the grid has more than 2^30 - 1 cells, past
+/// which the worst case (two segments per cell) overflows the int32
+/// segment index.
 std::vector<Polygon> extract_contours(std::span<const double> grid, std::size_t width,
                                       std::size_t height, double threshold);
 
@@ -30,18 +33,23 @@ std::vector<Polygon> extract_contours(std::span<const double> grid, std::size_t 
 /// capacity across calls, so a steady-state loop that extracts contours from
 /// same-sized grids (the chip tile pipeline) stops allocating once warm.
 struct ContourScratch {
+  /// The mate of a segment end on the grid border, which no cell shares.
+  static constexpr std::uint32_t kNoMate = 0xFFFFFFFFu;
+  /// One cell's piece of iso-line. Each end lies on a crossed grid edge;
+  /// ends are numbered 2 * segment index + side.
   struct Segment {
-    std::uint64_t key_a;
-    std::uint64_t key_b;
-    Point a;
-    Point b;
+    Point point[2];
+    /// The end of the neighbouring cell's segment on the same grid edge as
+    /// `point[side]`, or kNoMate.
+    std::uint32_t mate[2];
     bool used = false;
   };
+  /// Segments in scan order: rows bottom to top, cells left to right.
   std::vector<Segment> segments;
-  /// Sorted (edge key, segment index) pairs standing in for the hash map the
-  /// one-shot path would build: each grid edge borders at most two cells, so
-  /// a key appears at most twice and equal_range replaces the bucket lookup.
-  std::vector<std::pair<std::uint64_t, std::int32_t>> edges;
+  /// Per cell column, the end that column's cell in the previous row left
+  /// on its top edge, which is the bottom edge of the cell being scanned.
+  /// Read only when that edge is crossed, so it is never cleared.
+  std::vector<std::uint32_t> column_ends;
 };
 
 /// Allocation-free-when-warm variant of `extract_contours`: writes the
@@ -49,7 +57,8 @@ struct ContourScratch {
 /// more contours appear than any earlier call produced; pooled polygons keep
 /// their vertex capacity) and returns that count. Slots past the count hold
 /// stale earlier results and must be ignored. Results are bit-identical to
-/// `extract_contours`, which delegates here.
+/// `extract_contours`, which delegates here. Each call adds its segment
+/// count to the `geometry.contour_segments` counter.
 std::size_t extract_contours_into(std::span<const double> grid, std::size_t width,
                                   std::size_t height, double threshold,
                                   ContourScratch& scratch, std::vector<Polygon>& out);
