@@ -14,11 +14,8 @@
 // On a single-hardware-thread host the cost gate inlines every hinted op,
 // so 8t == 1t within noise and the bound holds trivially — the gate is what
 // this binary then certifies.
-//
-// Tolerance override: LITHOGAN_SCALING_TOLERANCE (default 1.15).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <string>
@@ -87,11 +84,7 @@ bool pin_to_current_core(cpu_set_t& saved) {
 }  // namespace
 
 int main() {
-  double tolerance = 1.15;
-  if (const char* env = std::getenv("LITHOGAN_SCALING_TOLERANCE")) {
-    const double v = std::atof(env);
-    if (v > 1.0) tolerance = v;
-  }
+  const double tolerance = 1.15;
 
   util::Rng rng(7);
 

@@ -7,55 +7,6 @@
 
 namespace lithogan::image {
 
-Image resize_nearest(const Image& src, std::size_t out_height, std::size_t out_width) {
-  LITHOGAN_REQUIRE(!src.empty() && out_height > 0 && out_width > 0, "resize args");
-  Image out(src.channels(), out_height, out_width);
-  const double sy = static_cast<double>(src.height()) / static_cast<double>(out_height);
-  const double sx = static_cast<double>(src.width()) / static_cast<double>(out_width);
-  for (std::size_t c = 0; c < src.channels(); ++c) {
-    for (std::size_t y = 0; y < out_height; ++y) {
-      const auto iy = std::min(static_cast<std::size_t>((static_cast<double>(y) + 0.5) * sy),
-                               src.height() - 1);
-      for (std::size_t x = 0; x < out_width; ++x) {
-        const auto ix = std::min(
-            static_cast<std::size_t>((static_cast<double>(x) + 0.5) * sx), src.width() - 1);
-        out.at(c, y, x) = src.at(c, iy, ix);
-      }
-    }
-  }
-  return out;
-}
-
-Image resize_bilinear(const Image& src, std::size_t out_height, std::size_t out_width) {
-  LITHOGAN_REQUIRE(!src.empty() && out_height > 0 && out_width > 0, "resize args");
-  Image out(src.channels(), out_height, out_width);
-  const double sy = static_cast<double>(src.height()) / static_cast<double>(out_height);
-  const double sx = static_cast<double>(src.width()) / static_cast<double>(out_width);
-  for (std::size_t c = 0; c < src.channels(); ++c) {
-    for (std::size_t y = 0; y < out_height; ++y) {
-      const double fy = (static_cast<double>(y) + 0.5) * sy - 0.5;
-      const auto y0 = static_cast<std::ptrdiff_t>(std::floor(fy));
-      const double wy = fy - static_cast<double>(y0);
-      for (std::size_t x = 0; x < out_width; ++x) {
-        const double fx = (static_cast<double>(x) + 0.5) * sx - 0.5;
-        const auto x0 = static_cast<std::ptrdiff_t>(std::floor(fx));
-        const double wx = fx - static_cast<double>(x0);
-        const auto cc = static_cast<std::ptrdiff_t>(c);
-        // Clamp-at-border sampling.
-        const auto sample = [&](std::ptrdiff_t yy, std::ptrdiff_t xx) {
-          yy = std::clamp<std::ptrdiff_t>(yy, 0, static_cast<std::ptrdiff_t>(src.height()) - 1);
-          xx = std::clamp<std::ptrdiff_t>(xx, 0, static_cast<std::ptrdiff_t>(src.width()) - 1);
-          return static_cast<double>(src.at_or(cc, yy, xx));
-        };
-        const double v = (1 - wy) * ((1 - wx) * sample(y0, x0) + wx * sample(y0, x0 + 1)) +
-                         wy * ((1 - wx) * sample(y0 + 1, x0) + wx * sample(y0 + 1, x0 + 1));
-        out.at(c, y, x) = static_cast<float>(v);
-      }
-    }
-  }
-  return out;
-}
-
 Image crop(const Image& src, std::ptrdiff_t x0, std::ptrdiff_t y0, std::size_t height,
            std::size_t width, float fill) {
   Image out(src.channels(), height, width, fill);
@@ -138,37 +89,6 @@ double mean_absolute_difference(const Image& a, const Image& b) {
     acc += std::abs(static_cast<double>(da[i]) - static_cast<double>(db[i]));
   }
   return acc / static_cast<double>(da.size());
-}
-
-Image normalize(const Image& src, float in_lo, float in_hi, float out_lo, float out_hi) {
-  LITHOGAN_REQUIRE(in_hi > in_lo, "normalize input range");
-  Image out = src;
-  const float scale = (out_hi - out_lo) / (in_hi - in_lo);
-  for (float& v : out.data()) {
-    v = std::clamp(v, in_lo, in_hi);
-    v = out_lo + (v - in_lo) * scale;
-  }
-  return out;
-}
-
-geometry::Point centroid_of_channel(const Image& img, std::size_t c) {
-  const auto ch = img.channel(c);
-  double total = 0.0;
-  double sx = 0.0;
-  double sy = 0.0;
-  for (std::size_t y = 0; y < img.height(); ++y) {
-    for (std::size_t x = 0; x < img.width(); ++x) {
-      const double v = ch[y * img.width() + x];
-      if (v <= 0.0) continue;
-      total += v;
-      sx += v * (static_cast<double>(x) + 0.5);
-      sy += v * (static_cast<double>(y) + 0.5);
-    }
-  }
-  if (total <= 0.0) {
-    return {static_cast<double>(img.width()) / 2.0, static_cast<double>(img.height()) / 2.0};
-  }
-  return {sx / total, sy / total};
 }
 
 }  // namespace lithogan::image

@@ -1,5 +1,4 @@
-// Image transforms used by the data pipeline: resizing between the physical
-// simulation grid and the network resolution, cropping the resist window,
+// Image transforms used by the data pipeline: cropping the resist window,
 // shifting patterns for the dual-learning re-centering step, and drawing
 // rectangles when rendering mask clips.
 #pragma once
@@ -8,12 +7,6 @@
 #include "image/image.hpp"
 
 namespace lithogan::image {
-
-/// Nearest-neighbor resize to out_height x out_width.
-Image resize_nearest(const Image& src, std::size_t out_height, std::size_t out_width);
-
-/// Bilinear resize (half-pixel centers) to out_height x out_width.
-Image resize_bilinear(const Image& src, std::size_t out_height, std::size_t out_width);
 
 /// Copies the window starting at (x0, y0) of size height x width. Pixels
 /// sampled outside `src` are `fill`. Negative origins are allowed.
@@ -41,13 +34,5 @@ void fill_rect(Image& img, std::size_t c, const geometry::Rect& rect, float valu
 
 /// Per-pixel |a - b| averaged over all channels and pixels.
 double mean_absolute_difference(const Image& a, const Image& b);
-
-/// Remaps values linearly so that [in_lo, in_hi] -> [out_lo, out_hi],
-/// clamping outside the input range.
-Image normalize(const Image& src, float in_lo, float in_hi, float out_lo, float out_hi);
-
-/// Centroid (x, y) of channel `c` treated as a nonnegative density, in pixel
-/// coordinates. Returns the image center if the channel is all zero.
-geometry::Point centroid_of_channel(const Image& img, std::size_t c);
 
 }  // namespace lithogan::image

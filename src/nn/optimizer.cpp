@@ -4,61 +4,14 @@
 
 namespace lithogan::nn {
 
-Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const Parameter* p : params_) velocity_.push_back(Tensor::zeros(p->value.shape()));
-  }
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Parameter& p = *params_[i];
-    if (momentum_ == 0.0f) {
-      p.value.add_scaled(p.grad, -lr_);
-      continue;
-    }
-    Tensor& vel = velocity_[i];
-    for (std::size_t j = 0; j < vel.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + p.grad[j];
-      p.value[j] -= lr_ * vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, float lr, float beta1, float beta2, float eps)
-    : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
+    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const Parameter* p : params_) {
     m_.push_back(Tensor::zeros(p->value.shape()));
     v_.push_back(Tensor::zeros(p->value.shape()));
   }
-}
-
-double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm) {
-  double ss = 0.0;
-  for (const Parameter* p : params) {
-    for (const float g : p->grad.data()) ss += static_cast<double>(g) * g;
-  }
-  const double norm = std::sqrt(ss);
-  if (norm > max_norm && norm > 0.0) {
-    const auto scale = static_cast<float>(max_norm / norm);
-    for (Parameter* p : params) p->grad.scale(scale);
-  }
-  return norm;
-}
-
-float linear_decay_lr(float initial, std::size_t epoch, std::size_t total_epochs,
-                      float final_fraction) {
-  if (total_epochs <= 1) return initial;
-  const std::size_t knee = total_epochs / 2;
-  if (epoch <= knee) return initial;
-  const double progress = static_cast<double>(epoch - knee) /
-                          static_cast<double>(total_epochs - knee);
-  const double factor = 1.0 - (1.0 - final_fraction) * progress;
-  return static_cast<float>(initial * factor);
 }
 
 void Adam::step() {

@@ -1,5 +1,5 @@
-// Gradient-descent optimizers. The paper trains with mini-batch SGD using
-// the Adam update rule, lr = 2e-4 and betas (0.5, 0.999) (Section 4).
+// The optimizer. The paper trains with mini-batch SGD using the Adam update
+// rule, lr = 2e-4 and betas (0.5, 0.999) (Section 4).
 #pragma once
 
 #include <vector>
@@ -8,42 +8,18 @@
 
 namespace lithogan::nn {
 
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the currently accumulated gradients.
-  virtual void step() = 0;
-
-  void zero_grad() { zero_grads(params_); }
-  const std::vector<Parameter*>& params() const { return params_; }
-
- protected:
-  std::vector<Parameter*> params_;
-};
-
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Parameter*> params, float lr = 2e-4f, float beta1 = 0.5f,
        float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
 
-  float learning_rate() const { return lr_; }
-  void set_learning_rate(float lr) { lr_ = lr; }
+  /// Applies one update using the currently accumulated gradients.
+  void step();
+
+  void zero_grad() { zero_grads(params_); }
 
  private:
+  std::vector<Parameter*> params_;
   float lr_;
   float beta1_;
   float beta2_;
@@ -52,15 +28,5 @@ class Adam : public Optimizer {
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
 };
-
-/// Scales gradients so their global l2 norm is at most `max_norm`; returns
-/// the pre-clip norm. A standard GAN stabilization knob.
-double clip_grad_norm(const std::vector<Parameter*>& params, double max_norm);
-
-/// Linear learning-rate decay from `initial` to `final_fraction * initial`
-/// over the last half of training — the pix2pix schedule. Returns the rate
-/// for `epoch` (1-based) of `total_epochs`.
-float linear_decay_lr(float initial, std::size_t epoch, std::size_t total_epochs,
-                      float final_fraction = 0.0f);
 
 }  // namespace lithogan::nn

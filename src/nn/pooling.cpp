@@ -74,74 +74,4 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-AvgPool2d::AvgPool2d(std::size_t kernel, std::size_t stride)
-    : kernel_(kernel), stride_(stride) {
-  LITHOGAN_REQUIRE(kernel >= 1 && stride >= 1, "pooling geometry");
-}
-
-Tensor AvgPool2d::forward(const Tensor& input) {
-  LITHOGAN_REQUIRE(input.rank() == 4, "AvgPool2d input shape " + input.shape_string());
-  const std::size_t batch = input.dim(0);
-  const std::size_t channels = input.dim(1);
-  const std::size_t h = input.dim(2);
-  const std::size_t w = input.dim(3);
-  const std::size_t out_h = math::conv_out_size(h, kernel_, stride_, 0);
-  const std::size_t out_w = math::conv_out_size(w, kernel_, stride_, 0);
-  input_shape_ = input.shape();
-  output_shape_ = {batch, channels, out_h, out_w};
-
-  Tensor output(output_shape_);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  std::size_t out_idx = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      const float* plane = input.raw() + (n * channels + c) * h * w;
-      for (std::size_t oy = 0; oy < out_h; ++oy) {
-        for (std::size_t ox = 0; ox < out_w; ++ox, ++out_idx) {
-          float acc = 0.0f;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              acc += plane[(oy * stride_ + ky) * w + ox * stride_ + kx];
-            }
-          }
-          output[out_idx] = acc * inv;
-        }
-      }
-    }
-  }
-  return output;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  LITHOGAN_REQUIRE(!input_shape_.empty(), "AvgPool2d::backward before forward");
-  LITHOGAN_REQUIRE(grad_output.shape() == output_shape_,
-                   "AvgPool2d grad shape " + grad_output.shape_string());
-  const std::size_t batch = input_shape_[0];
-  const std::size_t channels = input_shape_[1];
-  const std::size_t h = input_shape_[2];
-  const std::size_t w = input_shape_[3];
-  const std::size_t out_h = output_shape_[2];
-  const std::size_t out_w = output_shape_[3];
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-
-  Tensor grad_input(input_shape_);
-  std::size_t out_idx = 0;
-  for (std::size_t n = 0; n < batch; ++n) {
-    for (std::size_t c = 0; c < channels; ++c) {
-      float* plane = grad_input.raw() + (n * channels + c) * h * w;
-      for (std::size_t oy = 0; oy < out_h; ++oy) {
-        for (std::size_t ox = 0; ox < out_w; ++ox, ++out_idx) {
-          const float g = grad_output[out_idx] * inv;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              plane[(oy * stride_ + ky) * w + ox * stride_ + kx] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 }  // namespace lithogan::nn

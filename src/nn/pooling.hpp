@@ -26,21 +26,4 @@ class MaxPool2d : public Module {
   std::vector<std::size_t> output_shape_;
 };
 
-/// Average pooling (provided alongside MaxPool2d for architecture
-/// experiments; gradients spread uniformly over each window).
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(std::size_t kernel, std::size_t stride);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string kind() const override { return "AvgPool2d"; }
-
- private:
-  std::size_t kernel_;
-  std::size_t stride_;
-  std::vector<std::size_t> input_shape_;
-  std::vector<std::size_t> output_shape_;
-};
-
 }  // namespace lithogan::nn

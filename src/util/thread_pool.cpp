@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -72,11 +71,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   // Spinning only helps when every worker owns a core; on an oversubscribed
   // pool the spinners steal time-slices from the threads doing real work.
   spin_enabled_ = threads_ <= hw;
-  if (const char* env = std::getenv("LITHOGAN_DISPATCH_COST")) {
-    char* rest = nullptr;
-    const unsigned long long v = std::strtoull(env, &rest, 10);
-    if (rest && *rest == '\0') dispatch_cost_ = static_cast<std::size_t>(v);
-  }
   workers_.reserve(threads_ - 1);
   for (std::size_t w = 1; w < threads_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });

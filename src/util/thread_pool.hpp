@@ -49,8 +49,7 @@ class ThreadPool {
   /// Default dispatch gate, in estimated scalar operations. Roughly the
   /// work a core retires in the time one condition-variable wake-up costs
   /// (a few microseconds): jobs estimated below this run inline. Override
-  /// per pool with set_dispatch_cost() or globally with the
-  /// LITHOGAN_DISPATCH_COST environment variable (0 disables the gate).
+  /// per pool with set_dispatch_cost() (0 disables the gate).
   static constexpr std::size_t kDefaultDispatchCost = 1u << 21;  // ~2M ops
 
   /// `threads` is the total parallelism: the calling thread (worker 0) plus

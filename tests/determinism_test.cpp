@@ -11,10 +11,8 @@
 
 #include <cmath>
 #include <cstring>
-#include <span>
 #include <vector>
 
-#include "data/augment.hpp"
 #include "data/batch.hpp"
 #include "data/dataset.hpp"
 #include "litho/process.hpp"
@@ -278,13 +276,8 @@ TEST(Determinism, SimulatorRunBatchMatchesSequentialAtAnyThreadCount) {
 
 namespace {
 
-bool bit_equal(std::span<const float> a, std::span<const float> b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-/// A small synthetic dataset (no simulation) for the batch-assembly and
-/// augmentation determinism checks.
+/// A small synthetic dataset (no simulation) for the batch-assembly
+/// determinism check.
 ld::Dataset synthetic_dataset(std::size_t count, std::size_t size) {
   ld::Dataset ds;
   ds.process_name = "synthetic";
@@ -317,8 +310,8 @@ ld::Dataset synthetic_dataset(std::size_t count, std::size_t size) {
 
 }  // namespace
 
-// Batch level: sample-parallel tensor assembly and dataset augmentation
-// write disjoint slices, so any schedule must reproduce the serial result.
+// Batch level: sample-parallel tensor assembly writes disjoint slices, so
+// any schedule must reproduce the serial result.
 TEST(Determinism, BatchAssemblyMatchesSerialAtAnyThreadCount) {
   const ld::Dataset ds = synthetic_dataset(5, 16);
   const std::vector<std::size_t> indices = {3, 0, 4, 1, 2};
@@ -338,27 +331,6 @@ TEST(Determinism, BatchAssemblyMatchesSerialAtAnyThreadCount) {
         << "centered resists, threads=" << threads;
     EXPECT_TRUE(bit_equal(ld::batch_centers(ds, indices, &exec), centers_ref))
         << "centers, threads=" << threads;
-  }
-}
-
-TEST(Determinism, AugmentDatasetMatchesSerialAtAnyThreadCount) {
-  const ld::Dataset ds = synthetic_dataset(4, 16);
-  const ld::Dataset ref = ld::augment_dataset(ds, ld::all_dihedrals(), nullptr);
-
-  for (const std::size_t threads : kThreadCounts) {
-    lu::ExecContext exec(threads);
-    const ld::Dataset got = ld::augment_dataset(ds, ld::all_dihedrals(), &exec);
-    ASSERT_EQ(got.samples.size(), ref.samples.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < ref.samples.size(); ++i) {
-      EXPECT_EQ(got.samples[i].clip_id, ref.samples[i].clip_id);
-      EXPECT_TRUE(bit_equal(got.samples[i].resist.data(), ref.samples[i].resist.data()))
-          << "resist, sample " << i << ", threads=" << threads;
-      EXPECT_TRUE(
-          bit_equal(got.samples[i].mask_rgb.data(), ref.samples[i].mask_rgb.data()))
-          << "mask, sample " << i << ", threads=" << threads;
-      EXPECT_EQ(got.samples[i].center_px.x, ref.samples[i].center_px.x);
-      EXPECT_EQ(got.samples[i].center_px.y, ref.samples[i].center_px.y);
-    }
   }
 }
 

@@ -1,7 +1,6 @@
-// Tests for the extension features: EPE metric, data augmentation,
-// sub-pixel shifting, InstanceNorm/AvgPool layers, optimizer utilities,
-// the PatchGAN discriminator, the compact-VTR baseline, coma aberration,
-// and process-window analysis.
+// Tests for the extension features: EPE metric, sub-pixel shifting, the
+// PatchGAN discriminator, the compact-VTR baseline, coma aberration,
+// process-window analysis, hotspot screening and dataset statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +8,6 @@
 #include "baseline/compact_vtr.hpp"
 #include "core/gan.hpp"
 #include "core/networks.hpp"
-#include "data/augment.hpp"
 #include "data/render.hpp"
 #include "eval/metrics.hpp"
 #include "geometry/marching_squares.hpp"
@@ -17,10 +15,6 @@
 #include "layout/generator.hpp"
 #include "litho/process_window.hpp"
 #include "litho/simulator.hpp"
-#include "nn/gradcheck.hpp"
-#include "nn/instancenorm.hpp"
-#include "nn/optimizer.hpp"
-#include "nn/pooling.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -117,178 +111,6 @@ TEST(RecenterTo, SubPixelTargetsApproached) {
   const auto c = data::pattern_center(moved);
   EXPECT_NEAR(c.x, 17.5, 0.6);
   EXPECT_NEAR(c.y, 15.0, 0.6);
-}
-
-// ---------------------------------------------------------------------------
-// Augmentation
-// ---------------------------------------------------------------------------
-
-TEST(Augment, TransformImageRotationComposition) {
-  util::Rng rng(2);
-  image::Image img(2, 8, 8);
-  for (float& v : img.data()) v = static_cast<float>(rng.uniform(0, 1));
-  // Four 90-degree rotations compose to the identity.
-  auto r = img;
-  for (int k = 0; k < 4; ++k) r = data::transform_image(r, data::Dihedral::kRot90);
-  EXPECT_EQ(r, img);
-  // Two flips compose to the identity.
-  EXPECT_EQ(data::transform_image(
-                data::transform_image(img, data::Dihedral::kFlipX), data::Dihedral::kFlipX),
-            img);
-}
-
-TEST(Augment, TransposeIsItsOwnInverse) {
-  util::Rng rng(3);
-  image::Image img(1, 6, 6);
-  for (float& v : img.data()) v = static_cast<float>(rng.uniform(0, 1));
-  const auto t = data::transform_image(img, data::Dihedral::kTranspose);
-  EXPECT_EQ(img.at(0, 2, 5), t.at(0, 5, 2));
-  EXPECT_EQ(data::transform_image(t, data::Dihedral::kTranspose), img);
-}
-
-TEST(Augment, PointTransformTracksPatternTransform) {
-  // Build a sample with an off-center blob and verify the transformed
-  // center matches the transformed pattern's measured center, for all ops.
-  data::Sample s;
-  s.clip_id = "t";
-  s.resist = blob(16, 3, 6, 7, 10);
-  s.resist_centered = s.resist;
-  s.mask_rgb = image::Image(3, 16, 16);
-  s.aerial = s.resist;
-  s.center_px = data::pattern_center(s.resist);
-  for (const auto op : data::all_dihedrals()) {
-    const auto out = data::transform_sample(s, op);
-    const auto measured = data::pattern_center(out.resist);
-    EXPECT_NEAR(out.center_px.x, measured.x, 1e-9) << static_cast<int>(op);
-    EXPECT_NEAR(out.center_px.y, measured.y, 1e-9) << static_cast<int>(op);
-  }
-}
-
-TEST(Augment, DatasetMultiplies) {
-  data::Dataset ds;
-  ds.process_name = "t";
-  data::Sample s;
-  s.clip_id = "a";
-  s.resist = blob(8, 2, 2, 5, 5);
-  s.resist_centered = s.resist;
-  s.mask_rgb = image::Image(3, 8, 8);
-  s.aerial = s.resist;
-  s.center_px = data::pattern_center(s.resist);
-  ds.samples.push_back(s);
-
-  const auto aug = data::augment_dataset(ds, data::all_dihedrals());
-  EXPECT_EQ(aug.size(), 8u);
-  // Ids unique.
-  std::set<std::string> ids;
-  for (const auto& x : aug.samples) ids.insert(x.clip_id);
-  EXPECT_EQ(ids.size(), 8u);
-}
-
-TEST(Augment, CdSwapsUnderRotation) {
-  data::Sample s;
-  s.resist = blob(8, 1, 2, 7, 5);  // wider than tall
-  s.resist_centered = s.resist;
-  s.mask_rgb = image::Image(3, 8, 8);
-  s.aerial = s.resist;
-  s.cd_width_nm = 60.0;
-  s.cd_height_nm = 40.0;
-  const auto r = data::transform_sample(s, data::Dihedral::kRot90);
-  EXPECT_DOUBLE_EQ(r.cd_width_nm, 40.0);
-  EXPECT_DOUBLE_EQ(r.cd_height_nm, 60.0);
-  const auto f = data::transform_sample(s, data::Dihedral::kFlipX);
-  EXPECT_DOUBLE_EQ(f.cd_width_nm, 60.0);
-}
-
-// ---------------------------------------------------------------------------
-// New nn layers
-// ---------------------------------------------------------------------------
-
-TEST(InstanceNorm, NormalizesPerSamplePerChannel) {
-  nn::InstanceNorm2d norm(2);
-  util::Rng rng(4);
-  const auto x = nn::Tensor::randn({3, 2, 4, 4}, rng, 2.0f, 5.0f);
-  const auto y = norm.forward(x);
-  for (std::size_t n = 0; n < 3; ++n) {
-    for (std::size_t c = 0; c < 2; ++c) {
-      double sum = 0.0;
-      double ss = 0.0;
-      for (std::size_t i = 0; i < 16; ++i) {
-        const float v = y[(n * 2 + c) * 16 + i];
-        sum += v;
-        ss += static_cast<double>(v) * v;
-      }
-      EXPECT_NEAR(sum / 16.0, 0.0, 1e-5);
-      EXPECT_NEAR(ss / 16.0, 1.0, 1e-3);
-    }
-  }
-}
-
-TEST(InstanceNorm, GradCheck) {
-  nn::InstanceNorm2d norm(2);
-  util::Rng rng(5);
-  const auto x = nn::Tensor::randn({2, 2, 4, 4}, rng);
-  const auto probe = norm.forward(x);
-  const auto w = nn::Tensor::randn(probe.shape(), rng);
-  const auto r = nn::check_gradients(norm, x, w);
-  EXPECT_TRUE(r.passed) << r.detail << " in=" << r.max_input_error
-                        << " param=" << r.max_param_error;
-}
-
-TEST(InstanceNorm, NonAffineHasNoParameters) {
-  nn::InstanceNorm2d norm(3, 1e-5f, /*affine=*/false);
-  EXPECT_TRUE(norm.parameters().empty());
-}
-
-TEST(AvgPool, ForwardAverages) {
-  nn::AvgPool2d pool(2, 2);
-  nn::Tensor x({1, 1, 2, 2});
-  x[0] = 1.0f;
-  x[1] = 2.0f;
-  x[2] = 3.0f;
-  x[3] = 6.0f;
-  const auto y = pool.forward(x);
-  ASSERT_EQ(y.size(), 1u);
-  EXPECT_FLOAT_EQ(y[0], 3.0f);
-}
-
-TEST(AvgPool, GradCheck) {
-  nn::AvgPool2d pool(2, 2);
-  util::Rng rng(6);
-  const auto x = nn::Tensor::randn({2, 2, 6, 6}, rng);
-  const auto probe = pool.forward(x);
-  const auto w = nn::Tensor::randn(probe.shape(), rng);
-  const auto r = nn::check_gradients(pool, x, w);
-  EXPECT_TRUE(r.passed) << r.detail;
-}
-
-// ---------------------------------------------------------------------------
-// Optimizer utilities
-// ---------------------------------------------------------------------------
-
-TEST(OptimizerUtils, ClipGradNormScalesDown) {
-  nn::Parameter p("p", nn::Tensor({4}, 0.0f));
-  p.grad.fill(3.0f);  // norm = 6
-  const double before = nn::clip_grad_norm({&p}, 3.0);
-  EXPECT_NEAR(before, 6.0, 1e-6);
-  double ss = 0.0;
-  for (const float g : p.grad.data()) ss += static_cast<double>(g) * g;
-  EXPECT_NEAR(std::sqrt(ss), 3.0, 1e-5);
-}
-
-TEST(OptimizerUtils, ClipGradNormNoOpBelowLimit) {
-  nn::Parameter p("p", nn::Tensor({4}, 0.0f));
-  p.grad.fill(0.5f);  // norm = 1
-  nn::clip_grad_norm({&p}, 3.0);
-  EXPECT_FLOAT_EQ(p.grad[0], 0.5f);
-}
-
-TEST(OptimizerUtils, LinearDecaySchedule) {
-  // Constant through the first half, linear to zero at the end.
-  EXPECT_FLOAT_EQ(nn::linear_decay_lr(1.0f, 1, 10), 1.0f);
-  EXPECT_FLOAT_EQ(nn::linear_decay_lr(1.0f, 5, 10), 1.0f);
-  EXPECT_FLOAT_EQ(nn::linear_decay_lr(1.0f, 10, 10), 0.0f);
-  EXPECT_NEAR(nn::linear_decay_lr(1.0f, 8, 10), 0.4f, 1e-6f);
-  EXPECT_FLOAT_EQ(nn::linear_decay_lr(2.0f, 10, 10, 0.5f), 1.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,70 +328,6 @@ TEST(ProcessWindow, ExposureLatitudeComputed) {
   }
   EXPECT_NEAR(r.exposure_latitude(), 0.1, 1e-9);
   EXPECT_NEAR(r.yield(), 0.5, 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// PV band
-// ---------------------------------------------------------------------------
-
-#include "litho/pv_band.hpp"
-
-TEST(PvBand, InnerIsSubsetOfOuterAndBandPositive) {
-  auto p = litho::ProcessConfig::n10();
-  p.grid.pixels = 128;
-  p.optical.source_rings = 1;
-  p.optical.source_points_per_ring = 8;
-  {
-    litho::Simulator calib(p);
-    p.resist.threshold = calib.calibrate_dose();
-  }
-  const double c = p.grid.extent_nm / 2.0;
-  litho::PvBandConfig cfg;
-  cfg.raster_pixels = 256;
-  const auto band = litho::analyze_pv_band(
-      p, {geometry::Rect::from_center({c, c}, 60, 60)}, cfg);
-  ASSERT_EQ(band.inner.size(), 256u * 256u);
-  std::size_t inner_count = 0;
-  for (std::size_t i = 0; i < band.inner.size(); ++i) {
-    if (band.inner[i]) {
-      ++inner_count;
-      EXPECT_TRUE(band.outer[i]);  // inner subset of outer
-    }
-  }
-  EXPECT_GT(inner_count, 0u);              // the contact prints at all corners
-  EXPECT_GT(band.band_area_nm2(), 0.0);    // dose/focus variation moves the edge
-  EXPECT_GT(band.band_width_nm(), 0.0);
-  EXPECT_LT(band.band_width_nm(), 30.0);   // but not absurdly
-}
-
-TEST(PvBand, WiderCornersWidenTheBand) {
-  auto p = litho::ProcessConfig::n10();
-  p.grid.pixels = 128;
-  p.optical.source_rings = 1;
-  p.optical.source_points_per_ring = 8;
-  {
-    litho::Simulator calib(p);
-    p.resist.threshold = calib.calibrate_dose();
-  }
-  const double c = p.grid.extent_nm / 2.0;
-  const std::vector<geometry::Rect> mask = {geometry::Rect::from_center({c, c}, 60, 60)};
-  litho::PvBandConfig narrow;
-  narrow.raster_pixels = 256;
-  narrow.dose_delta = 0.02;
-  narrow.focus_delta_nm = 15.0;
-  litho::PvBandConfig wide = narrow;
-  wide.dose_delta = 0.08;
-  wide.focus_delta_nm = 60.0;
-  const auto band_narrow = litho::analyze_pv_band(p, mask, narrow);
-  const auto band_wide = litho::analyze_pv_band(p, mask, wide);
-  EXPECT_GT(band_wide.band_area_nm2(), band_narrow.band_area_nm2());
-}
-
-TEST(PvBand, RejectsBadConfig) {
-  auto p = litho::ProcessConfig::n10();
-  litho::PvBandConfig cfg;
-  cfg.raster_pixels = 4;
-  EXPECT_THROW(litho::analyze_pv_band(p, {}, cfg), util::InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

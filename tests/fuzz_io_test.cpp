@@ -1,6 +1,6 @@
-// Corruption robustness: checkpoints, datasets, clip libraries and netpbm
-// images must reject malformed bytes with a typed error — never crash,
-// hang, or silently load garbage. This suite bit-flips and truncates real
+// Corruption robustness: checkpoints, datasets and netpbm images must
+// reject malformed bytes with a typed error — never crash, hang, or
+// silently load garbage. This suite bit-flips and truncates real
 // serialized artifacts and asserts graceful failure.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "data/dataset.hpp"
 #include "image/io.hpp"
-#include "layout/clip_io.hpp"
 #include "nn/linear.hpp"
 #include "nn/serialize.hpp"
 #include "util/error.hpp"
@@ -157,37 +156,6 @@ TEST_F(FuzzIoTest, DatasetWithImplausibleDimsRejected) {
     }
   }
   EXPECT_TRUE(some_rejected);
-}
-
-// ---------------------------------------------------------------------------
-// Clip libraries (text)
-// ---------------------------------------------------------------------------
-
-TEST_F(FuzzIoTest, ClipLibraryRandomLineCorruption) {
-  layout::MaskClip clip;
-  clip.id = "c";
-  clip.extent_nm = 1024.0;
-  clip.target = geometry::Rect::from_center({512, 512}, 60, 60);
-  clip.neighbors.push_back(geometry::Rect::from_center({650, 512}, 60, 60));
-  const std::string text = layout::clips_to_text({clip});
-
-  util::Rng rng(5);
-  for (int trial = 0; trial < 30; ++trial) {
-    std::string corrupted = text;
-    const auto pos = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
-    corrupted[pos] = static_cast<char>(rng.uniform_int(32, 126));
-    try {
-      const auto clips = layout::clips_from_text(corrupted);
-      // Parsed: geometry must still be finite.
-      for (const auto& c : clips) {
-        EXPECT_TRUE(std::isfinite(c.target.lo.x));
-        EXPECT_TRUE(std::isfinite(c.extent_nm));
-      }
-    } catch (const util::Error&) {
-      // Typed rejection is the other acceptable outcome.
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@
 // bit-identical to the serial run — the determinism contract — while the
 // serial run is compared to the reference with a rounding tolerance (the
 // blocked kernel sums K in a different association than the triple loop).
-// Both im2col layouts the GEMMs consume (row-major and packed-B panels) must
-// equal a per-element reference gather byte for byte.
+// The row-major im2col gather that feeds the backward-pass GEMMs must equal
+// a per-element reference gather byte for byte.
 #include <gtest/gtest.h>
 
 #include <cmath>

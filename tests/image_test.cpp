@@ -73,48 +73,6 @@ TEST(Image, ToMaskThreshold) {
 // Ops
 // ---------------------------------------------------------------------------
 
-TEST(Ops, ResizeNearestDoublesPixels) {
-  li::Image img(1, 2, 2);
-  img.at(0, 0, 0) = 1.0f;
-  img.at(0, 1, 1) = 2.0f;
-  const auto big = li::resize_nearest(img, 4, 4);
-  EXPECT_FLOAT_EQ(big.at(0, 0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(big.at(0, 1, 1), 1.0f);
-  EXPECT_FLOAT_EQ(big.at(0, 3, 3), 2.0f);
-  EXPECT_FLOAT_EQ(big.at(0, 0, 3), 0.0f);
-}
-
-TEST(Ops, ResizeIdentityWhenSameSize) {
-  li::Image img(2, 3, 3, 0.5f);
-  img.at(0, 1, 2) = 0.9f;
-  EXPECT_EQ(li::resize_nearest(img, 3, 3), img);
-  const auto bl = li::resize_bilinear(img, 3, 3);
-  EXPECT_NEAR(bl.at(0, 1, 2), 0.9f, 1e-6f);
-}
-
-TEST(Ops, ResizeBilinearPreservesConstant) {
-  li::Image img(1, 4, 4, 0.7f);
-  const auto out = li::resize_bilinear(img, 7, 9);
-  for (std::size_t y = 0; y < 7; ++y) {
-    for (std::size_t x = 0; x < 9; ++x) EXPECT_NEAR(out.at(0, y, x), 0.7f, 1e-6f);
-  }
-}
-
-TEST(Ops, ResizeBilinearDownThenMeanPreserved) {
-  li::Image img(1, 8, 8);
-  float sum = 0.0f;
-  for (std::size_t y = 0; y < 8; ++y) {
-    for (std::size_t x = 0; x < 8; ++x) {
-      img.at(0, y, x) = static_cast<float>((x + y) % 3) / 2.0f;
-      sum += img.at(0, y, x);
-    }
-  }
-  const auto out = li::resize_bilinear(img, 4, 4);
-  float out_sum = 0.0f;
-  for (const float v : out.data()) out_sum += v;
-  EXPECT_NEAR(out_sum / 16.0f, sum / 64.0f, 0.1f);
-}
-
 TEST(Ops, CropInBounds) {
   li::Image img(1, 4, 4);
   for (std::size_t y = 0; y < 4; ++y) {
@@ -170,32 +128,6 @@ TEST(Ops, MeanAbsoluteDifference) {
   EXPECT_DOUBLE_EQ(li::mean_absolute_difference(a, a), 0.0);
   li::Image c(1, 2, 3);
   EXPECT_THROW(li::mean_absolute_difference(a, c), lithogan::util::InvalidArgument);
-}
-
-TEST(Ops, NormalizeRemapsAndClamps) {
-  li::Image img(1, 1, 3);
-  img.at(0, 0, 0) = -1.0f;
-  img.at(0, 0, 1) = 0.5f;
-  img.at(0, 0, 2) = 2.0f;
-  const auto out = li::normalize(img, 0.0f, 1.0f, 0.0f, 10.0f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 1), 5.0f);
-  EXPECT_FLOAT_EQ(out.at(0, 0, 2), 10.0f);
-}
-
-TEST(Ops, CentroidOfChannel) {
-  li::Image img(1, 8, 8);
-  img.at(0, 2, 3) = 1.0f;
-  const auto c = li::centroid_of_channel(img, 0);
-  EXPECT_DOUBLE_EQ(c.x, 3.5);
-  EXPECT_DOUBLE_EQ(c.y, 2.5);
-}
-
-TEST(Ops, CentroidOfEmptyChannelIsImageCenter) {
-  li::Image img(1, 8, 6);
-  const auto c = li::centroid_of_channel(img, 0);
-  EXPECT_DOUBLE_EQ(c.x, 3.0);
-  EXPECT_DOUBLE_EQ(c.y, 4.0);
 }
 
 // ---------------------------------------------------------------------------

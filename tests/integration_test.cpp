@@ -10,7 +10,6 @@
 
 #include "baseline/flow.hpp"
 #include "core/lithogan.hpp"
-#include "data/augment.hpp"
 #include "eval/report.hpp"
 #include "util/logging.hpp"
 
@@ -109,30 +108,4 @@ TEST(Integration, BaselineFlowBeatsChanceToo) {
   const auto report = acc.finalize();
   EXPECT_GT(report.mean_iou, 0.7);  // aerial-informed: strong even untuned
   EXPECT_LT(report.ede_mean_nm, 10.0);
-}
-
-TEST(Integration, AugmentedDatasetTrainsToo) {
-  // 4x augmentation of the training split only; the test split stays
-  // untouched. Verifies the augmentation plumbing composes with training.
-  const auto& p = pipeline();
-  data::Dataset train_set;
-  train_set.process_name = p.dataset.process_name;
-  train_set.render = p.dataset.render;
-  for (const std::size_t i : p.split.train) {
-    train_set.samples.push_back(p.dataset.samples[i]);
-  }
-  const data::Dihedral ops[] = {data::Dihedral::kIdentity, data::Dihedral::kRot180,
-                                data::Dihedral::kFlipX, data::Dihedral::kFlipY};
-  const auto augmented = data::augment_dataset(train_set, ops);
-  EXPECT_EQ(augmented.size(), train_set.size() * 4);
-
-  auto cfg = p.config;
-  cfg.epochs = 2;
-  cfg.center_epochs = 4;
-  core::LithoGan model(cfg, core::Mode::kPlainCgan);
-  std::vector<std::size_t> all(augmented.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const auto curves = model.train(augmented, all);
-  EXPECT_EQ(curves.size(), 2u);
-  EXPECT_LT(curves.back().l1, curves.front().l1);
 }

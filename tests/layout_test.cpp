@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <set>
 
 #include "layout/clip.hpp"
@@ -278,75 +277,4 @@ TEST(Opc, CorrectionRespectsMaxBias) {
   opc.run_model_based(clip, sim);
   EXPECT_LE(clip.target_opc.width(), 60.0 + 2 * 3.0 + 1e-9);
   EXPECT_GE(clip.target_opc.width(), 60.0 - 2 * 3.0 - 1e-9);
-}
-
-// ---------------------------------------------------------------------------
-// Clip-library text serialization
-// ---------------------------------------------------------------------------
-
-#include "layout/clip_io.hpp"
-
-TEST(ClipIo, RoundTripPreservesEverything) {
-  auto gen = make_generator(101);
-  std::vector<ly::MaskClip> clips;
-  for (int i = 0; i < 5; ++i) clips.push_back(gen.generate());
-  // Give one clip RET shapes so the optional sections are exercised.
-  ly::SrafInserter sraf(test_process(), ly::SrafConfig{});
-  sraf.insert(clips[0]);
-  ly::OpcEngine opc(ly::OpcConfig{});
-  opc.run_rule_based(clips[0]);
-
-  const std::string text = ly::clips_to_text(clips);
-  const auto back = ly::clips_from_text(text);
-  ASSERT_EQ(back.size(), clips.size());
-  for (std::size_t i = 0; i < clips.size(); ++i) {
-    EXPECT_EQ(back[i].id, clips[i].id);
-    EXPECT_EQ(back[i].array_type, clips[i].array_type);
-    EXPECT_DOUBLE_EQ(back[i].extent_nm, clips[i].extent_nm);
-    EXPECT_EQ(back[i].target, clips[i].target);
-    EXPECT_EQ(back[i].neighbors, clips[i].neighbors);
-    EXPECT_EQ(back[i].srafs, clips[i].srafs);
-    EXPECT_EQ(back[i].has_opc(), clips[i].has_opc());
-    if (clips[i].has_opc()) {
-      EXPECT_EQ(back[i].target_opc, clips[i].target_opc);
-      EXPECT_EQ(back[i].neighbors_opc, clips[i].neighbors_opc);
-    }
-  }
-}
-
-TEST(ClipIo, CommentsAndBlankLinesIgnored) {
-  const std::string text =
-      "# a comment\n\nclip c1 row 1024\n  target 482 482 542 542\n# inline\nend\n";
-  const auto clips = ly::clips_from_text(text);
-  ASSERT_EQ(clips.size(), 1u);
-  EXPECT_EQ(clips[0].id, "c1");
-  EXPECT_EQ(clips[0].array_type, ly::ArrayType::kRow);
-}
-
-TEST(ClipIo, MalformedInputRejected) {
-  namespace lu2 = lithogan::util;
-  EXPECT_THROW(ly::clips_from_text("target 0 0 1 1\n"), lu2::FormatError);
-  EXPECT_THROW(ly::clips_from_text("clip a row 1024\n"), lu2::FormatError);  // no end
-  EXPECT_THROW(ly::clips_from_text("clip a bogus 1024\ntarget 0 0 1 1\nend\n"),
-               lu2::FormatError);
-  EXPECT_THROW(ly::clips_from_text("clip a row 1024\nwhat 0 0 1 1\nend\n"),
-               lu2::FormatError);
-  EXPECT_THROW(ly::clips_from_text("clip a row 1024\ntarget 0 0\nend\n"),
-               lu2::FormatError);
-  // Clip without a target is invalid.
-  EXPECT_THROW(ly::clips_from_text("clip a row 1024\nend\n"), lu2::Error);
-}
-
-TEST(ClipIo, FileRoundTrip) {
-  auto gen = make_generator(103);
-  const std::vector<ly::MaskClip> clips = {gen.generate(), gen.generate()};
-  const auto dir = std::filesystem::temp_directory_path() / "lithogan_layout_test";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "clips.txt").string();
-  ly::save_clips(clips, path);
-  const auto back = ly::load_clips(path);
-  std::filesystem::remove_all(dir);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].id, clips[0].id);
-  EXPECT_EQ(back[1].target, clips[1].target);
 }

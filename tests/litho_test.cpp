@@ -484,8 +484,8 @@ TEST(Resist, BandTagIsValidated) {
 
 // The golden replay contract on the chip tile grid (N10, 512 px over
 // 2048 nm): Simulator::run equals aerial_image -> develop -> contours byte
-// for byte. Both reach the band blur, a dose-scaled aerial (as the PV-band
-// and process-window sweeps make) does too, and develop carries no band.
+// for byte. Both reach the band blur, a dose-scaled aerial (as the
+// process-window sweep makes) does too, and develop carries no band.
 TEST(SimulatorStages, RunEqualsStagedReplayOnTheBandPath) {
   ll::ProcessConfig p = ll::ProcessConfig::n10();
   p.grid.pixels = 512;

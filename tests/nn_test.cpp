@@ -10,7 +10,6 @@
 #include "nn/conv.hpp"
 #include "nn/dropout.hpp"
 #include "nn/gradcheck.hpp"
-#include "nn/init.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/module.hpp"
@@ -443,28 +442,6 @@ struct Quadratic {
 };
 }  // namespace
 
-TEST(Optimizer, SgdConvergesOnQuadratic) {
-  Quadratic q;
-  ln::Sgd opt({&q.w}, 0.1f);
-  for (int i = 0; i < 100; ++i) {
-    opt.zero_grad();
-    q.compute_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(q.w.value[0], 3.0f, 1e-3f);
-}
-
-TEST(Optimizer, SgdMomentumConverges) {
-  Quadratic q;
-  ln::Sgd opt({&q.w}, 0.05f, 0.9f);
-  for (int i = 0; i < 200; ++i) {
-    opt.zero_grad();
-    q.compute_grad();
-    opt.step();
-  }
-  EXPECT_NEAR(q.w.value[0], 3.0f, 1e-2f);
-}
-
 TEST(Optimizer, AdamConvergesOnQuadratic) {
   Quadratic q;
   ln::Adam opt({&q.w}, 0.1f, 0.9f, 0.999f);
@@ -490,7 +467,7 @@ TEST(Optimizer, ZeroGradClears) {
   Quadratic q;
   q.compute_grad();
   EXPECT_NE(q.w.grad[0], 0.0f);
-  ln::Sgd opt({&q.w}, 0.1f);
+  ln::Adam opt({&q.w});
   opt.zero_grad();
   EXPECT_FLOAT_EQ(q.w.grad[0], 0.0f);
 }
@@ -547,41 +524,6 @@ TEST(Training, TinyConvNetFitsRegressionTarget) {
     opt.step();
   }
   EXPECT_LT(last_loss, first_loss * 0.2) << "first=" << first_loss << " last=" << last_loss;
-}
-
-// ---------------------------------------------------------------------------
-// Initialization
-// ---------------------------------------------------------------------------
-
-TEST(Init, ConstantAndNormal) {
-  lu::Rng rng(60);
-  ln::Linear fc(8, 8, rng);
-  ln::init_constant(fc, 0.25f);
-  for (ln::Parameter* p : fc.parameters()) {
-    for (const float v : p->value.data()) EXPECT_FLOAT_EQ(v, 0.25f);
-  }
-  ln::init_normal(fc, rng, 1.0f);
-  double ss = 0.0;
-  std::size_t n = 0;
-  for (ln::Parameter* p : fc.parameters()) {
-    for (const float v : p->value.data()) {
-      ss += static_cast<double>(v) * v;
-      ++n;
-    }
-  }
-  EXPECT_NEAR(ss / static_cast<double>(n), 1.0, 0.4);
-}
-
-TEST(Init, XavierBoundsRespected) {
-  lu::Rng rng(61);
-  ln::Linear fc(10, 6, rng);
-  ln::init_xavier_uniform(fc, rng);
-  const double bound = std::sqrt(6.0 / 16.0);
-  const auto params = fc.parameters();
-  for (const float v : params[0]->value.data()) {
-    EXPECT_LE(std::abs(v), bound + 1e-6);
-  }
-  for (const float v : params[1]->value.data()) EXPECT_FLOAT_EQ(v, 0.0f);  // bias zeroed
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,8 @@
 #include "geometry/rasterize.hpp"
 #include "litho/optical.hpp"
 #include "math/conv.hpp"
-#include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
-#include "nn/instancenorm.hpp"
-#include "nn/sequential.hpp"
-#include "nn/serialize.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -137,7 +133,7 @@ TEST(DeconvGeometry, OddStrideAndOutputPad) {
 }
 
 // ---------------------------------------------------------------------------
-// Normalization layers under distribution shift
+// BatchNorm running statistics
 // ---------------------------------------------------------------------------
 
 TEST(BatchNormRunningStats, ConvergeForStationaryInput) {
@@ -156,55 +152,6 @@ TEST(BatchNormRunningStats, ConvergeForStationaryInput) {
   double sum = 0.0;
   for (std::size_t i = 0; i < y.size(); ++i) sum += y[i];
   EXPECT_NEAR(sum / static_cast<double>(y.size()), 0.0, 0.1);
-}
-
-TEST(InstanceNormVsBatchNorm, InstanceNormIgnoresBatchComposition) {
-  // InstanceNorm of a sample is identical whether the sample is alone in
-  // the batch or mixed with wildly different samples; BatchNorm is not.
-  util::Rng rng(6);
-  const auto a = nn::Tensor::randn({1, 2, 4, 4}, rng, 1.0f, 0.0f);
-  auto mixed = nn::Tensor({2, 2, 4, 4});
-  for (std::size_t i = 0; i < a.size(); ++i) mixed[i] = a[i];
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    mixed[a.size() + i] = static_cast<float>(rng.uniform(5.0, 9.0));
-  }
-
-  nn::InstanceNorm2d in_norm(2);
-  const auto solo = in_norm.forward(a);
-  const auto joint = in_norm.forward(mixed);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(solo[i], joint[i], 1e-5f);
-  }
-}
-
-TEST(Serialization, MixedNormStackRoundTrips) {
-  util::Rng rng(7);
-  const auto build = [](util::Rng& r) {
-    auto net = std::make_unique<nn::Sequential>();
-    net->emplace<nn::Conv2d>(1, 4, 3, 1, 1, r);
-    net->emplace<nn::InstanceNorm2d>(4);
-    net->emplace<nn::ReLU>();
-    net->emplace<nn::Conv2d>(4, 2, 3, 1, 1, r);
-    net->emplace<nn::BatchNorm2d>(2);
-    return net;
-  };
-  auto original = build(rng);
-  original->set_training(true);
-  original->forward(nn::Tensor::randn({4, 1, 8, 8}, rng));
-
-  const std::string path = "/tmp/lithogan_robustness_ckpt.bin";
-  nn::save_module(*original, "mixed", path);
-  util::Rng rng2(99);
-  auto restored = build(rng2);
-  nn::load_module(*restored, "mixed", path);
-  std::remove(path.c_str());
-
-  original->set_training(false);
-  restored->set_training(false);
-  const auto x = nn::Tensor::randn({1, 1, 8, 8}, rng);
-  const auto y1 = original->forward(x);
-  const auto y2 = restored->forward(x);
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_FLOAT_EQ(y1[i], y2[i]);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 // a slowdown. Host blocks are printed when they differ so a cross-machine
 // diff is recognizable as such.
 //
-//   bench_compare --base BENCH_serve.json --candidate BENCH_serve.new.json \
+//   bench_compare --base BENCH_serve.json --candidate BENCH_serve.new.json
 //                 --max-regress-pct 10
 //
 // Exit codes: 0 = no regression, 1 = at least one matched row regressed,

@@ -37,8 +37,8 @@
 //            gate verdicts (coverage, ring_bounded, learned_steady_allocs,
 //            plan_warmup_only, pass).
 //
-//   obs_validate --trace out.json --flow out.json --metrics out.jsonl \
-//                --exporter-jsonl windows.jsonl --bench-serve BENCH_serve.json \
+//   obs_validate --trace out.json --flow out.json --metrics out.jsonl
+//                --exporter-jsonl windows.jsonl --bench-serve BENCH_serve.json
 //                --bench-chip BENCH_chip.json
 //
 // Exits nonzero with a message on the first violation.
