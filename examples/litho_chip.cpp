@@ -3,25 +3,25 @@
 // Generates a chip-scale contact layout, tiles it with an optics-derived
 // halo and streams it through chip::ChipPipeline — the golden simulator,
 // the learned model, or both (default) — printing the tiling geometry,
-// contacts/second per path and how far the two paths diverge. This is the
-// production shape of the per-clip model: thousands of contacts at
-// sustained throughput with bounded memory.
+// contacts/second per path and, with both, how far the two paths diverge
+// (printed-state agreement, and mean |CD delta| over the contacts both
+// print). This is the production shape of the per-clip model: thousands
+// of contacts at sustained throughput with bounded memory.
 //
 //   ./litho_chip --chip-nm 4096 --threads 4
 //
 // --mode serve turns the chip into a stress source for the serving layer:
 // every owned contact's clip is rendered once, then submitted to
-// serve::Server under open-loop Poisson arrivals (--qps/--duration-s), the
-// same client model as litho_serve.
+// serve::Server under open-loop Poisson arrivals (--qps/--duration-s)
+// through serve::run_open_loop, the same client as litho_serve.
 //
 // Use --trace/--metrics/--export (see util::add_obs_flags) to capture the
 // chip.tile/chip.sim/chip.infer/chip.stitch spans and the chip.* counters
 // alongside the run; --fast drops to a reduced source for quick smokes.
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chip/layout.hpp"
@@ -32,6 +32,7 @@
 #include "data/sample.hpp"
 #include "litho/simulator.hpp"
 #include "math/gemm.hpp"
+#include "serve/open_loop.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/exec_context.hpp"
@@ -73,27 +74,63 @@ data::Sample render_contact_sample(const chip::ChipLayout& layout, std::uint32_t
   return s;
 }
 
+struct ContactSummary {
+  bool printed = false;
+  double cd_width_nm = 0.0;
+};
+
 struct PathReport {
   std::size_t contacts = 0;
   std::size_t printed = 0;
   double seconds = 0.0;
+  std::vector<ContactSummary> per_contact;  ///< indexed by contact
 };
 
-PathReport report_from(chip::ChipPipeline& pipe, bool learned,
+/// Runs the golden path (model == nullptr) or the learned path once.
+PathReport report_from(chip::ChipPipeline& pipe, std::size_t contacts,
                        core::LithoGan* model) {
   PathReport out;
+  out.per_contact.resize(contacts);
   util::Timer timer;
   const auto sink = [&](std::size_t, std::span<const chip::ContactResult> r) {
     out.contacts += r.size();
-    for (const chip::ContactResult& x : r) out.printed += x.printed ? 1 : 0;
+    for (const chip::ContactResult& x : r) {
+      out.printed += x.printed ? 1 : 0;
+      out.per_contact[x.contact] = {x.printed, x.cd_width_nm};
+    }
   };
-  if (learned) {
+  if (model != nullptr) {
     pipe.run_learned(*model, sink);
   } else {
     pipe.run_golden(sink);
   }
   out.seconds = timer.elapsed_seconds();
   return out;
+}
+
+/// ML-vs-golden divergence: printed-state agreement over every contact,
+/// mean |CD delta| over the contacts both paths print. Reported, not
+/// gated: the demo model is untrained.
+void print_divergence(const PathReport& golden, const PathReport& learned) {
+  std::size_t agree = 0;
+  std::size_t both_printed = 0;
+  double cd_delta_sum = 0.0;
+  for (std::size_t i = 0; i < golden.per_contact.size(); ++i) {
+    const ContactSummary& g = golden.per_contact[i];
+    const ContactSummary& l = learned.per_contact[i];
+    if (g.printed == l.printed) ++agree;
+    if (g.printed && l.printed) {
+      ++both_printed;
+      cd_delta_sum += std::abs(g.cd_width_nm - l.cd_width_nm);
+    }
+  }
+  const auto frac = [](double num, std::size_t den) {
+    return den == 0 ? 0.0 : num / static_cast<double>(den);
+  };
+  std::printf("divergence: printed agreement %.2f, mean |CD delta| %.2f nm "
+              "(%zu contacts printed by both)\n",
+              frac(static_cast<double>(agree), golden.per_contact.size()),
+              frac(cd_delta_sum, both_printed), both_printed);
 }
 
 }  // namespace
@@ -176,47 +213,29 @@ int main(int argc, char** argv) {
                 samples.size(), traffic.qps, traffic.duration_s, sc.max_batch);
 
     util::Rng rng(traffic.seed);
-    std::vector<double> latencies;
-    std::vector<serve::Ticket> tickets;
-    util::Timer clock;
-    const auto t0 = std::chrono::steady_clock::now();
-    double next_arrival_s = 0.0;
-    std::size_t clip = 0;
-    while (clock.elapsed_seconds() < traffic.duration_s) {
-      next_arrival_s += util::poisson_gap_s(rng, traffic.qps);
-      std::this_thread::sleep_until(t0 +
-                                    std::chrono::duration<double>(next_arrival_s));
-      if (const auto ticket = server.try_submit(samples[clip])) {
-        tickets.push_back(*ticket);
-      }
-      clip = (clip + 1) % samples.size();
-    }
-    for (const auto& t : tickets) {
-      latencies.push_back(server.wait(t).latency_us);
-    }
-    const double elapsed_s = clock.elapsed_seconds();
-    const serve::Stats stats = server.stats();
+    const serve::OpenLoopResult run =
+        serve::run_open_loop(server, samples, traffic.qps, traffic.duration_s, rng);
     server.shutdown();
-    std::printf("served %zu clips in %.2f s (%.0f clips/s), p50 %.0f us, "
+    std::printf("served %llu clips in %.2f s (%.0f clips/s), p50 %.0f us, "
                 "p99 %.0f us, rejected %llu\n",
-                latencies.size(), elapsed_s,
-                static_cast<double>(latencies.size()) / elapsed_s,
-                util::percentile(latencies, 0.50),
-                util::percentile(latencies, 0.99),
-                static_cast<unsigned long long>(stats.rejected));
+                static_cast<unsigned long long>(run.completed), run.elapsed_s,
+                run.throughput(), run.p50_us, run.p99_us,
+                static_cast<unsigned long long>(run.rejected));
     util::finish_observability(obs_opts, math::simd_level());
     return 0;
   }
 
+  PathReport golden;
+  PathReport learned;
   if (mode == "golden" || mode == "both") {
-    const PathReport golden = report_from(pipe, false, nullptr);
+    golden = report_from(pipe, layout.contacts().size(), nullptr);
     std::printf("golden:  %7.0f contacts/s (%zu contacts, %zu printed, %.2f s, "
                 "%zu threads)\n",
                 static_cast<double>(golden.contacts) / std::max(golden.seconds, 1e-9),
                 golden.contacts, golden.printed, golden.seconds, exec.threads());
   }
   if (mode == "learned" || mode == "both") {
-    const PathReport learned = report_from(pipe, true, &model);
+    learned = report_from(pipe, layout.contacts().size(), &model);
     std::printf("learned: %7.0f contacts/s (%zu contacts, %zu printed, %.2f s, "
                 "%s weights)\n",
                 static_cast<double>(learned.contacts) /
@@ -224,6 +243,7 @@ int main(int argc, char** argv) {
                 learned.contacts, learned.printed, learned.seconds,
                 model.serving_precision());
   }
+  if (mode == "both") print_divergence(golden, learned);
   std::printf("ring residency: %zu slots, %.1f KiB peak buffer capacity\n",
               pipe.stats().ring_slots,
               static_cast<double>(pipe.stats().ring_bytes) / 1024.0);

@@ -1,12 +1,13 @@
 // Online serving demo: LithoGAN behind the dynamic micro-batching server.
 //
 // Spins up a serve::Server over an untrained (or tiny-trained) model and
-// drives it with open-loop Poisson traffic — the arrival process a real
-// screening service sees when design tools submit clips independently.
-// Requests that find a full queue are rejected up front (backpressure)
-// rather than queued into unbounded latency. At the end the demo prints
-// the served-latency percentiles, the achieved batch-size mix — the whole
-// point of micro-batching — and the rejection count.
+// drives it with open-loop Poisson traffic (serve::run_open_loop) — the
+// arrival process a real screening service sees when design tools submit
+// clips independently. Requests that find a full queue are rejected up
+// front (backpressure) rather than queued into unbounded latency. At the
+// end the demo prints the served-latency percentiles, the achieved
+// batch-size mix — the whole point of micro-batching — and the rejection
+// count.
 //
 //   ./litho_serve --qps 200 --duration-s 3 --batch 16 --wait-us 2000
 //
@@ -15,16 +16,9 @@
 // run. --slo-p99-us and --slo-reject-pct arm the SLO watchdog: breaches
 // print as they happen and a budget report closes the run (see
 // docs/observability.md, "Continuous export / SLO").
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.hpp"
@@ -35,13 +29,13 @@
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
+#include "serve/open_loop.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/exec_context.hpp"
 #include "util/logging.hpp"
 #include "util/obs_cli.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 #include "util/traffic.hpp"
 
 using namespace lithogan;
@@ -136,76 +130,23 @@ int main(int argc, char** argv) {
 
   util::Rng rng(traffic.seed);
   const auto samples = synthetic_samples(64, cfg, rng);
-  const double qps = traffic.qps;
-  const double duration_s = traffic.duration_s;
-
-  // Waiter thread claims finished tickets while the producer keeps offering
-  // load — an open-loop client, so a slow server shows up as latency and
-  // rejections, not as a politely reduced arrival rate.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<serve::Ticket> inflight;
-  bool producing = true;
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<std::size_t>(qps * duration_s * 2.0) + 16);
-  std::vector<std::uint64_t> batch_hist(sc.max_batch + 1, 0);
-
-  std::thread waiter([&] {
-    for (;;) {
-      serve::Ticket ticket;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return !inflight.empty() || !producing; });
-        if (inflight.empty()) return;
-        ticket = inflight.front();
-        inflight.pop_front();
-      }
-      const serve::Response r = server.wait(ticket);
-      latencies.push_back(r.latency_us);
-      ++batch_hist[std::min(r.batch, batch_hist.size() - 1)];
-    }
-  });
-
-  std::printf("offering %.0f qps for %.1f s...\n", qps, duration_s);
-  util::Timer clock;
-  const auto t0 = std::chrono::steady_clock::now();
-  double next_arrival_s = 0.0;
-  std::size_t clip = 0;
-  while (clock.elapsed_seconds() < duration_s) {
-    next_arrival_s += util::poisson_gap_s(rng, qps);
-    std::this_thread::sleep_until(t0 + std::chrono::duration<double>(next_arrival_s));
-    if (const auto ticket = server.try_submit(samples[clip])) {
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        inflight.push_back(*ticket);
-      }
-      cv.notify_one();
-    }
-    clip = (clip + 1) % samples.size();
-  }
-  const double elapsed_s = clock.elapsed_seconds();
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    producing = false;
-  }
-  cv.notify_all();
-  waiter.join();
+  std::printf("offering %.0f qps for %.1f s...\n", traffic.qps, traffic.duration_s);
+  const serve::OpenLoopResult run =
+      serve::run_open_loop(server, samples, traffic.qps, traffic.duration_s, rng);
   const serve::Stats stats = server.stats();
   server.shutdown();
 
-  const auto pct = [&](double q) { return util::percentile(latencies, q); };
-  std::printf("\nserved %zu requests in %.2f s (%.0f clips/s achieved)\n",
-              latencies.size(), elapsed_s,
-              static_cast<double>(latencies.size()) / elapsed_s);
-  std::printf("latency: p50 %.0f us, p95 %.0f us, p99 %.0f us\n", pct(0.50),
-              pct(0.95), pct(0.99));
+  std::printf("\nserved %llu requests in %.2f s (%.0f clips/s achieved)\n",
+              static_cast<unsigned long long>(run.completed), run.elapsed_s,
+              run.throughput());
+  std::printf("latency: p50 %.0f us, p95 %.0f us, p99 %.0f us\n", run.p50_us,
+              run.p95_us, run.p99_us);
   std::printf("rejected: %llu (queue full), peak queue depth: %zu\n",
-              static_cast<unsigned long long>(stats.rejected),
-              stats.peak_queue_depth);
+              static_cast<unsigned long long>(run.rejected), stats.peak_queue_depth);
   std::printf("batch-size mix:");
-  for (std::size_t b = 1; b < batch_hist.size(); ++b) {
-    if (batch_hist[b] != 0) {
-      std::printf(" %zu:%llu", b, static_cast<unsigned long long>(batch_hist[b]));
+  for (std::size_t b = 1; b < run.batch_hist.size(); ++b) {
+    if (run.batch_hist[b] != 0) {
+      std::printf(" %zu:%llu", b, static_cast<unsigned long long>(run.batch_hist[b]));
     }
   }
   std::printf("\n");

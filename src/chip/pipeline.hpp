@@ -24,7 +24,8 @@
 //   * a fixed-depth ring of tile slots bounds memory: at most ring_depth
 //     tiles are ever materialized, whatever the chip size;
 //   * the learned tile loop performs zero heap allocations once warm
-//     (bench/chip_bench.cpp gates this with a counting operator new).
+//     (tests/runtime_gates_test.cpp gates this with a counting operator
+//     new).
 //
 // See docs/chip_pipeline.md for the halo math and the bit-identity
 // contract the tests enforce.

@@ -55,11 +55,6 @@ struct Rect {
            lo.y <= o.hi.y && o.lo.y <= hi.y;
   }
 
-  Rect intersection(const Rect& o) const {
-    return {{std::max(lo.x, o.lo.x), std::max(lo.y, o.lo.y)},
-            {std::min(hi.x, o.hi.x), std::min(hi.y, o.hi.y)}};
-  }
-
   Rect unite(const Rect& o) const {
     if (is_empty()) return o;
     if (o.is_empty()) return *this;

@@ -47,23 +47,4 @@ Summary summarize(std::span<const double> values) {
   return s;
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  LITHOGAN_REQUIRE(xs.size() == ys.size(), "pearson length mismatch");
-  if (xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 }  // namespace lithogan::math

@@ -29,7 +29,4 @@ double stddev(std::span<const double> values);
 /// p-th percentile (0..100) by linear interpolation on the sorted sample.
 double percentile(std::span<const double> values, double p);
 
-/// Pearson correlation of two equal-length samples; 0 if degenerate.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
 }  // namespace lithogan::math

@@ -47,10 +47,4 @@ void load_module(Module& module, const std::string& arch_tag, const std::string&
   module.load_state(is);
 }
 
-std::string peek_arch_tag(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw util::IoError("cannot open for reading: " + path);
-  return read_header(is, path);
-}
-
 }  // namespace lithogan::nn

@@ -18,7 +18,4 @@ void save_module(const Module& module, const std::string& arch_tag,
 /// not a lithogan checkpoint or `arch_tag` differs from the saved tag.
 void load_module(Module& module, const std::string& arch_tag, const std::string& path);
 
-/// Reads just the architecture tag from a checkpoint.
-std::string peek_arch_tag(const std::string& path);
-
 }  // namespace lithogan::nn

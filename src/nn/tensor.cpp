@@ -85,10 +85,6 @@ void Tensor::add_scaled(const Tensor& other, float scale) {
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += scale * other.data_[i];
 }
 
-void Tensor::scale(float factor) {
-  for (float& v : data_) v *= factor;
-}
-
 std::string Tensor::shape_string() const {
   std::ostringstream oss;
   oss << "(";

@@ -60,9 +60,8 @@ class Tensor {
   void fill(float value);
   void zero() { fill(0.0f); }
 
-  /// Element-wise in-place helpers used by optimizers and losses.
+  /// Element-wise in-place helper used by optimizers and losses.
   void add_scaled(const Tensor& other, float scale);  // this += scale * other
-  void scale(float factor);                           // this *= factor
 
   /// "(2, 3, 64, 64)" — for error messages.
   std::string shape_string() const;

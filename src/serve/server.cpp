@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,6 +18,21 @@ std::vector<double> batch_size_buckets() { return {1, 2, 4, 8, 16, 32, 64}; }
 double elapsed_us(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
+/// Admission shape check. The scheduler stacks every batch into one
+/// tensor, so a clip of another shape would throw on the scheduler thread
+/// and take the process down; it is turned away here instead, before it
+/// takes a slot.
+void require_model_shape(const data::Sample& sample, const core::LithoGanConfig& cfg) {
+  const image::Image& mask = sample.mask_rgb;
+  LITHOGAN_REQUIRE(mask.channels() == cfg.mask_channels &&
+                       mask.height() == cfg.image_size && mask.width() == cfg.image_size,
+                   "serve sample mask is " + std::to_string(mask.channels()) + "x" +
+                       std::to_string(mask.height()) + "x" + std::to_string(mask.width()) +
+                       ", the model takes " + std::to_string(cfg.mask_channels) + "x" +
+                       std::to_string(cfg.image_size) + "x" +
+                       std::to_string(cfg.image_size));
 }
 
 }  // namespace
@@ -83,6 +99,7 @@ Ticket Server::submit_locked(const data::Sample& sample,
 
 Ticket Server::submit(const data::Sample& sample) {
   static obs::Counter& rejected = obs::Registry::global().counter("serve.rejected");
+  require_model_shape(sample, model_.config());
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) throw StoppedError("serve::Server is shut down");
   if (pending_size_ >= pending_.size() || free_slots_.empty()) {
@@ -98,6 +115,7 @@ Ticket Server::submit(const data::Sample& sample) {
 
 std::optional<Ticket> Server::try_submit(const data::Sample& sample) {
   static obs::Counter& rejected = obs::Registry::global().counter("serve.rejected");
+  require_model_shape(sample, model_.config());
   std::unique_lock<std::mutex> lock(mutex_);
   if (stopping_) throw StoppedError("serve::Server is shut down");
   if (pending_size_ >= pending_.size() || free_slots_.empty()) {

@@ -100,11 +100,14 @@ class Server {
 
   /// Enqueues one clip. `sample` is referenced, not copied — it must stay
   /// alive and unmodified until wait() returns for this ticket. Throws
-  /// RejectedError when full, StoppedError after shutdown.
+  /// util::InvalidArgument when its mask is not the model's
+  /// mask_channels x image_size x image_size (not counted as a
+  /// rejection), RejectedError when full, StoppedError after shutdown.
   Ticket submit(const data::Sample& sample);
 
   /// Non-throwing admission: nullopt instead of RejectedError. Still
-  /// throws StoppedError after shutdown.
+  /// throws util::InvalidArgument on a wrong-shaped mask and StoppedError
+  /// after shutdown.
   std::optional<Ticket> try_submit(const data::Sample& sample);
 
   /// Blocks until the ticket's request has been served; returns the

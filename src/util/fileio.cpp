@@ -55,7 +55,6 @@ T read_raw(std::istream& is) {
 
 void write_u32(std::ostream& os, std::uint32_t value) { write_raw(os, value); }
 void write_u64(std::ostream& os, std::uint64_t value) { write_raw(os, value); }
-void write_f32(std::ostream& os, float value) { write_raw(os, value); }
 void write_f64(std::ostream& os, double value) { write_raw(os, value); }
 
 void write_string(std::ostream& os, const std::string& value) {
@@ -72,7 +71,6 @@ void write_f32_array(std::ostream& os, const float* data, std::size_t count) {
 
 std::uint32_t read_u32(std::istream& is) { return read_raw<std::uint32_t>(is); }
 std::uint64_t read_u64(std::istream& is) { return read_raw<std::uint64_t>(is); }
-float read_f32(std::istream& is) { return read_raw<float>(is); }
 double read_f64(std::istream& is) { return read_raw<double>(is); }
 
 std::string read_string(std::istream& is) {

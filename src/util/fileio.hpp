@@ -25,14 +25,12 @@ void make_directories(const std::string& path);
 // All throw FormatError on truncated input.
 void write_u32(std::ostream& os, std::uint32_t value);
 void write_u64(std::ostream& os, std::uint64_t value);
-void write_f32(std::ostream& os, float value);
 void write_f64(std::ostream& os, double value);
 void write_string(std::ostream& os, const std::string& value);
 void write_f32_array(std::ostream& os, const float* data, std::size_t count);
 
 std::uint32_t read_u32(std::istream& is);
 std::uint64_t read_u64(std::istream& is);
-float read_f32(std::istream& is);
 double read_f64(std::istream& is);
 std::string read_string(std::istream& is);
 void read_f32_array(std::istream& is, float* data, std::size_t count);

@@ -21,20 +21,8 @@ std::vector<std::string> split(std::string_view text, char delim) {
   return parts;
 }
 
-std::string trim(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) --end;
-  return std::string(text.substr(begin, end - begin));
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
 }
 
 std::string to_lower(std::string_view text) {

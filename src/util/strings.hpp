@@ -10,14 +10,8 @@ namespace lithogan::util {
 /// Splits `text` on `delim`, keeping empty fields.
 std::vector<std::string> split(std::string_view text, char delim);
 
-/// Removes leading and trailing ASCII whitespace.
-std::string trim(std::string_view text);
-
 /// True if `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
-
-/// True if `text` ends with `suffix`.
-bool ends_with(std::string_view text, std::string_view suffix);
 
 /// Lowercases ASCII letters.
 std::string to_lower(std::string_view text);

@@ -1,8 +1,9 @@
 // Shared open-loop traffic plumbing for the serving-style binaries
-// (examples/litho_serve, bench/serve_bench, the chip example's --serve
-// mode): the Poisson arrival draw, the order-statistic percentile, and the
-// common CLI flag block (offered load, duration, scheduler knobs, seed), so
-// each new load generator stops growing its own copy.
+// (serve::run_open_loop behind litho_serve and litho_chip --mode serve;
+// lithobench takes its percentile): the Poisson arrival draw, the
+// order-statistic percentile, and the common CLI flag block (offered load,
+// duration, scheduler knobs, seed), so each new load generator stops
+// growing its own copy.
 #pragma once
 
 #include <cstddef>

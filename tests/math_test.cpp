@@ -266,20 +266,6 @@ TEST(Statistics, SummaryFields) {
   EXPECT_DOUBLE_EQ(s.median, 2.0);
 }
 
-TEST(Statistics, PearsonPerfectCorrelation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(lm::pearson(xs, ys), 1.0, 1e-12);
-  std::vector<double> neg(ys.rbegin(), ys.rend());
-  EXPECT_NEAR(lm::pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(Statistics, PearsonDegenerateIsZero) {
-  const std::vector<double> xs = {1.0, 1.0, 1.0};
-  const std::vector<double> ys = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(lm::pearson(xs, ys), 0.0);
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 //   * the dual trigger dispatches on batch-full and on oldest-age timeout;
 //   * admission control rejects with a typed error when the queue is full,
 //     and shutdown drains accepted work cleanly;
+//   * a clip whose shape the model does not take is refused at admission,
+//     and the requests around it are still served;
 //   * tickets are claimable exactly once (stale/double claims throw).
 // Labelled tier2 so the TSan sweep covers the scheduler/producer races.
 #include <gtest/gtest.h>
@@ -227,6 +229,35 @@ TEST(Serve, BackpressureRejectionAndCleanShutdown) {
   EXPECT_THROW(server.submit(samples[0]), ls::StoppedError);
   EXPECT_THROW(server.try_submit(samples[0]), ls::StoppedError);
   EXPECT_EQ(server.stats().completed, 4u);
+}
+
+TEST(Serve, RejectsWrongShapeAtAdmission) {
+  const lc::LithoGanConfig cfg = test_config();
+  lc::LithoGan model(cfg, lc::Mode::kPlainCgan);
+  const auto samples = synthetic_samples(2, cfg.image_size, 19);
+  const auto direct = model.predict_batch(samples);
+  ld::Sample wrong_size = synthetic_samples(1, cfg.image_size + 1, 23)[0];
+  ld::Sample wrong_channels = samples[1];
+  wrong_channels.mask_rgb = li::Image(1, cfg.image_size, cfg.image_size);
+
+  ls::Config sc;
+  sc.max_batch = 4;
+  sc.max_wait_us = 200;
+  ls::Server server(model, sc);
+  const ls::Ticket before = server.submit(samples[0]);
+  // Refused before a slot is taken: a typed error for the caller, not a
+  // throw on the scheduler thread that would kill the process.
+  EXPECT_THROW(server.submit(wrong_size), lu::InvalidArgument);
+  EXPECT_THROW(server.try_submit(wrong_size), lu::InvalidArgument);
+  EXPECT_THROW(server.submit(wrong_channels), lu::InvalidArgument);
+  const ls::Ticket after = server.submit(samples[1]);
+
+  expect_images_equal(direct[0], server.wait(before).resist);
+  expect_images_equal(direct[1], server.wait(after).resist);
+  const ls::Stats stats = server.stats();
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.rejected, 0u);  // a caller bug, not backpressure
 }
 
 TEST(Serve, TracedServingIsByteIdenticalAndFlowsMatch) {

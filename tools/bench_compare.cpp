@@ -1,13 +1,15 @@
 // Regression diff for two BENCH_*.json files (bench/bench_json.hpp
-// schema). Rows are matched by their (op, shape, threads, dtype) key; a
-// matched row regresses when the candidate's ns_per_iter exceeds the
-// baseline's by more than --max-regress-pct percent. Unmatched rows on
-// either side are reported but never fail the comparison — benches grow
-// and retire shapes, and a key that disappeared is a coverage change, not
-// a slowdown. Host blocks are printed when they differ so a cross-machine
+// schema). Rows are matched by their (op, shape, threads) key — the n-th
+// row of a repeated key with the n-th row of that key on the other side,
+// since micro_nn labels its serial and one-worker runs both threads=1 — and
+// a matched row regresses when the candidate's ns_per_iter exceeds the
+// baseline's by more than --max-regress-pct percent. Unmatched rows on either side are
+// reported but never fail the comparison — benches grow and retire
+// shapes, and a key that disappeared is a coverage change, not a
+// slowdown. Host blocks are printed when they differ so a cross-machine
 // diff is recognizable as such.
 //
-//   bench_compare --base BENCH_serve.json --candidate BENCH_serve.new.json
+//   bench_compare --base BENCH_micro_nn.json --candidate BENCH_micro_nn.new.json
 //                 --max-regress-pct 10
 //
 // Exit codes: 0 = no regression, 1 = at least one matched row regressed,
@@ -28,14 +30,10 @@ using lithogan::obs::json::Value;
 
 namespace {
 
-struct Row {
-  double value = 0.0;        ///< ns_per_iter slot (a rate when dir is "higher")
-  bool higher_is_better = false;  ///< record's "dir" field ("higher"/"lower")
-};
-
 struct BenchDoc {
   std::string host;  ///< "cpus=N simd=..." summary for mismatch reporting
-  std::map<std::string, Row> rows;  ///< keyed by op|shape|threads|dtype
+  /// ns_per_iter keyed by op|shape|threads, with "#n" on the n-th repeat.
+  std::map<std::string, double> rows;
 };
 
 BenchDoc parse_bench(const Value& root, const std::string& label) {
@@ -53,6 +51,7 @@ BenchDoc parse_bench(const Value& root, const std::string& label) {
   if (records == nullptr || !records->is_array()) {
     throw std::runtime_error(label + ": missing records array");
   }
+  std::map<std::string, int> repeats;
   for (const auto& entry : records->array) {
     if (!entry->is_object()) continue;
     const Value* op = entry->get("op");
@@ -62,19 +61,10 @@ BenchDoc parse_bench(const Value& root, const std::string& label) {
     if (op == nullptr || shape == nullptr || threads == nullptr || ns == nullptr) {
       continue;
     }
-    std::string dtype = "f32";
-    if (const Value* d = entry->get("dtype"); d != nullptr && !d->string.empty()) {
-      dtype = d->string;
-    }
-    const std::string key = op->string + '|' + shape->string + '|' +
-                            std::to_string(static_cast<long long>(threads->number)) +
-                            '|' + dtype;
-    Row row;
-    row.value = ns->number;
-    if (const Value* dir = entry->get("dir")) {
-      row.higher_is_better = dir->string == "higher";
-    }
-    doc.rows[key] = row;
+    std::string key = op->string + '|' + shape->string + '|' +
+                      std::to_string(static_cast<long long>(threads->number));
+    if (const int n = ++repeats[key]; n > 1) key += '#' + std::to_string(n);
+    doc.rows[key] = ns->number;
   }
   return doc;
 }
@@ -86,33 +76,28 @@ struct CompareResult {
   std::vector<std::string> regressions;  ///< human-readable, one per bad row
 };
 
-/// Core comparison: a matched row regresses when the candidate moves the
-/// WRONG way by more than the budget — candidate > base * (1 + pct/100) on
-/// a "lower" (ns/iter) row, candidate < base / (1 + pct/100) on a "higher"
-/// (rate) row. The baseline row's direction governs the flip. Rows with a
-/// non-positive baseline are skipped — a 0 row is a placeholder, and a
-/// ratio against it is meaningless.
+/// Core comparison: a matched row regresses when the candidate's
+/// ns_per_iter exceeds base * (1 + pct/100). Rows with a non-positive
+/// baseline are skipped — a 0 row is a placeholder, and a ratio against it
+/// is meaningless.
 CompareResult compare(const BenchDoc& base, const BenchDoc& candidate,
                       double max_regress_pct) {
   CompareResult result;
   const double limit = 1.0 + max_regress_pct / 100.0;
-  for (const auto& [key, base_row] : base.rows) {
+  for (const auto& [key, base_ns] : base.rows) {
     const auto it = candidate.rows.find(key);
     if (it == candidate.rows.end()) {
       ++result.base_only;
       continue;
     }
     ++result.matched;
-    if (base_row.value <= 0.0) continue;
-    const double ratio = it->second.value / base_row.value;
-    const bool regressed =
-        base_row.higher_is_better ? ratio < 1.0 / limit : ratio > limit;
-    if (regressed) {
+    if (base_ns <= 0.0) continue;
+    const double ratio = it->second / base_ns;
+    if (ratio > limit) {
       char buf[256];
-      std::snprintf(buf, sizeof(buf), "%s: %.0f -> %.0f %s (%+.1f%%, budget %.1f%%)",
-                    key.c_str(), base_row.value, it->second.value,
-                    base_row.higher_is_better ? "(higher is better)" : "ns/iter",
-                    (ratio - 1.0) * 100.0, max_regress_pct);
+      std::snprintf(buf, sizeof(buf), "%s: %.0f -> %.0f ns/iter (%+.1f%%, budget %.1f%%)",
+                    key.c_str(), base_ns, it->second, (ratio - 1.0) * 100.0,
+                    max_regress_pct);
       result.regressions.push_back(buf);
     }
   }
@@ -136,26 +121,26 @@ int selftest() {
   };
   const BenchDoc base = doc(
       "{\"host\": {\"cpus\": 1, \"simd\": \"scalar\"}, \"records\": ["
-      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1,"
       " \"ns_per_iter\": 1000.0},"
-      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
       " \"ns_per_iter\": 8000.0},"
-      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2, \"dtype\": \"f16\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
+      " \"ns_per_iter\": 2000.0},"
+      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2,"
       " \"ns_per_iter\": 500.0},"
-      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1, \"dtype\": \"f32\","
-      " \"dir\": \"higher\", \"ns_per_iter\": 1000.0},"
       "{\"op\": \"retired\", \"shape\": \"1\", \"threads\": 1,"
       " \"ns_per_iter\": 10.0}]}");
   const BenchDoc cand = doc(
       "{\"host\": {\"cpus\": 1, \"simd\": \"scalar\"}, \"records\": ["
-      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"256\", \"threads\": 1,"
       " \"ns_per_iter\": 1040.0},"  // +4%: within a 5% budget, over a 2% one
-      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1, \"dtype\": \"f32\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
       " \"ns_per_iter\": 7000.0},"  // improvement: never a regression
-      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2, \"dtype\": \"f16\","
+      "{\"op\": \"gemm\", \"shape\": \"512\", \"threads\": 1,"
+      " \"ns_per_iter\": 2500.0},"  // the repeat, +25%: judged on its own
+      "{\"op\": \"conv\", \"shape\": \"64\", \"threads\": 2,"
       " \"ns_per_iter\": 800.0},"   // +60%: regression under any sane budget
-      "{\"op\": \"chip_rate\", \"shape\": \"4096\", \"threads\": 1, \"dtype\": \"f32\","
-      " \"dir\": \"higher\", \"ns_per_iter\": 960.0},"  // -4% rate: only a 2% budget trips
       "{\"op\": \"new\", \"shape\": \"9\", \"threads\": 1,"
       " \"ns_per_iter\": 3.0}]}");
 
@@ -166,20 +151,16 @@ int selftest() {
     }
   };
   CompareResult loose = compare(base, cand, 100.0);
-  check(loose.matched == 4, "matched count");
+  check(loose.matched == 4, "matched count (a repeated key matches twice)");
   check(loose.base_only == 1 && loose.candidate_only == 1, "unmatched counts");
   check(loose.regressions.empty(), "no regressions at +100%");
   CompareResult tight = compare(base, cand, 5.0);
-  check(tight.regressions.size() == 1, "one regression at 5% (conv only)");
-  check(tight.regressions[0].find("conv|64|2|f16") != std::string::npos,
-        "regression names the conv row");
+  check(tight.regressions.size() == 2, "two regressions at 5% (conv, gemm 512 repeat)");
+  check(tight.regressions[0].find("conv|64|2") != std::string::npos &&
+            tight.regressions[1].find("gemm|512|1#2") != std::string::npos,
+        "regressions name the conv row and the second gemm 512 row");
   CompareResult strict = compare(base, cand, 2.0);
   check(strict.regressions.size() == 3, "three regressions at 2%");
-  bool chip_flagged = false;
-  for (const std::string& r : strict.regressions) {
-    chip_flagged = chip_flagged || r.find("chip_rate|4096|1|f32") != std::string::npos;
-  }
-  check(chip_flagged, "a dropped dir:higher rate counts as a regression");
   check(compare(base, base, 0.0).regressions.empty(), "self-compare is clean");
   std::printf("bench_compare selftest OK\n");
   return 0;
@@ -193,8 +174,8 @@ int main(int argc, char** argv) {
   cli.add_flag("base", "", "baseline bench JSON")
       .add_flag("candidate", "", "candidate bench JSON to judge against the baseline")
       .add_flag("max-regress-pct", "10",
-                "allowed ns_per_iter growth per matched (op,shape,threads,dtype) "
-                "row, in percent")
+                "allowed ns_per_iter growth per matched (op,shape,threads) row, "
+                "in percent")
       .add_flag("selftest", "0", "run the in-memory comparison selftest and exit");
   if (!cli.parse(argc, argv)) {
     std::printf("%s", cli.usage().c_str());

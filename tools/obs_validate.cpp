@@ -24,22 +24,8 @@
 //            deltas/rates >= 0, monotone window quantiles p50 <= p95 <=
 //            p99, and the last line is the drain window (final: true).
 //
-//   bench-serve: a bench JSON written by serve_bench — one "host" block,
-//            a non-empty "records" array, and a "serve" block whose
-//            "points" each carry monotone p50 <= p95 <= p99 latencies and
-//            whose "gates" verdicts (including the telemetry-overhead
-//            gate) are present.
-//
-//   bench-chip: a bench JSON written by chip_bench — host + records plus a
-//            "chip" block with the tiling geometry (positive core_nm),
-//            positive golden/learned contacts_per_s rates, a divergence
-//            block with printed_match_frac in [0, 1], and the streaming
-//            gate verdicts (coverage, ring_bounded, learned_steady_allocs,
-//            plan_warmup_only, pass).
-//
 //   obs_validate --trace out.json --flow out.json --metrics out.jsonl
-//                --exporter-jsonl windows.jsonl --bench-serve BENCH_serve.json
-//                --bench-chip BENCH_chip.json
+//                --exporter-jsonl windows.jsonl
 //
 // Exits nonzero with a message on the first violation.
 #include <cstdint>
@@ -300,118 +286,6 @@ void validate_metrics(const std::string& path) {
   std::printf("metrics OK: %s (%zu snapshot lines)\n", path.c_str(), lines);
 }
 
-void validate_bench_serve(const std::string& path) {
-  const Value root = lithogan::obs::json::parse(read_file(path));
-  require(root.kind == Value::Kind::kObject, "bench-serve: top level is not an object");
-
-  const Value& host = field(root, "host", "bench-serve");
-  require(host.kind == Value::Kind::kObject, "bench-serve: host is not an object");
-  require(field(host, "cpus", "bench-serve host").kind == Value::Kind::kNumber,
-          "bench-serve: host.cpus is not a number");
-  const Value& records = field(root, "records", "bench-serve");
-  require(records.kind == Value::Kind::kArray && !records.array.empty(),
-          "bench-serve: records is not a non-empty array");
-
-  const Value& serve = field(root, "serve", "bench-serve");
-  require(serve.kind == Value::Kind::kObject, "bench-serve: serve is not an object");
-  for (const char* k : {"batch", "wait_us", "queue_capacity", "serial_qps"}) {
-    require(field(serve, k, "bench-serve serve").kind == Value::Kind::kNumber,
-            std::string("bench-serve: serve.") + k + " is not a number");
-  }
-  const Value& points = field(serve, "points", "bench-serve serve");
-  require(points.kind == Value::Kind::kArray && !points.array.empty(),
-          "bench-serve: serve.points is not a non-empty array");
-  for (std::size_t i = 0; i < points.array.size(); ++i) {
-    const Value& p = *points.array[i];
-    const std::string where = "bench-serve point " + std::to_string(i);
-    require(p.kind == Value::Kind::kObject, where + ": not an object");
-    for (const char* k : {"qps_offered", "qps_achieved", "p50_us", "p95_us",
-                          "p99_us", "completed", "rejected"}) {
-      const Value& n = field(p, k, where);
-      require(n.kind == Value::Kind::kNumber && n.number >= 0.0,
-              where + ": " + k + " is not a non-negative number");
-    }
-    const double p50 = p.get("p50_us")->number;
-    const double p95 = p.get("p95_us")->number;
-    const double p99 = p.get("p99_us")->number;
-    require(p50 <= p95 && p95 <= p99, where + ": percentiles not monotone");
-  }
-  const Value& hist = field(serve, "batch_hist", "bench-serve serve");
-  require(hist.kind == Value::Kind::kArray && !hist.array.empty(),
-          "bench-serve: serve.batch_hist is not a non-empty array");
-  const Value& gates = field(serve, "gates", "bench-serve serve");
-  require(gates.kind == Value::Kind::kObject, "bench-serve: gates is not an object");
-  require(field(gates, "throughput_vs_serial", "bench-serve gates").kind ==
-              Value::Kind::kBool,
-          "bench-serve: gates.throughput_vs_serial is not a bool");
-  require(field(gates, "dispatch_allocs", "bench-serve gates").kind ==
-              Value::Kind::kNumber,
-          "bench-serve: gates.dispatch_allocs is not a number");
-  require(field(gates, "telemetry_ok", "bench-serve gates").kind ==
-              Value::Kind::kBool,
-          "bench-serve: gates.telemetry_ok is not a bool");
-  require(field(gates, "telemetry_overhead", "bench-serve gates").kind ==
-              Value::Kind::kNumber,
-          "bench-serve: gates.telemetry_overhead is not a number");
-  require(field(gates, "pass", "bench-serve gates").kind == Value::Kind::kBool,
-          "bench-serve: gates.pass is not a bool");
-  std::printf("bench-serve OK: %s (%zu load points)\n", path.c_str(),
-              points.array.size());
-}
-
-void validate_bench_chip(const std::string& path) {
-  const Value root = lithogan::obs::json::parse(read_file(path));
-  require(root.kind == Value::Kind::kObject, "bench-chip: top level is not an object");
-
-  const Value& host = field(root, "host", "bench-chip");
-  require(host.kind == Value::Kind::kObject, "bench-chip: host is not an object");
-  require(field(host, "cpus", "bench-chip host").kind == Value::Kind::kNumber,
-          "bench-chip: host.cpus is not a number");
-  const Value& records = field(root, "records", "bench-chip");
-  require(records.kind == Value::Kind::kArray && !records.array.empty(),
-          "bench-chip: records is not a non-empty array");
-
-  const Value& chip = field(root, "chip", "bench-chip");
-  require(chip.kind == Value::Kind::kObject, "bench-chip: chip is not an object");
-  for (const char* k : {"chip_nm", "tile_nm", "tile_px", "halo_nm", "core_nm",
-                        "tiles", "contacts", "ring_slots", "ring_bytes"}) {
-    const Value& n = field(chip, k, "bench-chip chip");
-    require(n.kind == Value::Kind::kNumber && n.number >= 0.0,
-            std::string("bench-chip: chip.") + k + " is not a non-negative number");
-  }
-  // The tile must always be wider than two halos, or there is no core.
-  require(chip.get("core_nm")->number > 0.0, "bench-chip: chip.core_nm is not positive");
-  for (const char* block : {"golden", "learned"}) {
-    const Value& b = field(chip, block, "bench-chip chip");
-    const std::string where = std::string("bench-chip ") + block;
-    require(b.kind == Value::Kind::kObject, where + ": not an object");
-    const Value& rate = field(b, "contacts_per_s", where);
-    require(rate.kind == Value::Kind::kNumber && rate.number > 0.0,
-            where + ": contacts_per_s is not positive");
-    require(field(b, "seconds", where).kind == Value::Kind::kNumber,
-            where + ": seconds is not a number");
-  }
-  const Value& div = field(chip, "divergence", "bench-chip chip");
-  require(div.kind == Value::Kind::kObject, "bench-chip: divergence is not an object");
-  const Value& frac = field(div, "printed_match_frac", "bench-chip divergence");
-  require(frac.kind == Value::Kind::kNumber && frac.number >= 0.0 && frac.number <= 1.0,
-          "bench-chip: divergence.printed_match_frac is not in [0, 1]");
-  require(field(div, "mean_cd_delta_nm", "bench-chip divergence").kind ==
-              Value::Kind::kNumber,
-          "bench-chip: divergence.mean_cd_delta_nm is not a number");
-  const Value& gates = field(chip, "gates", "bench-chip chip");
-  require(gates.kind == Value::Kind::kObject, "bench-chip: gates is not an object");
-  for (const char* k : {"coverage", "ring_bounded", "plan_warmup_only", "pass"}) {
-    require(field(gates, k, "bench-chip gates").kind == Value::Kind::kBool,
-            std::string("bench-chip: gates.") + k + " is not a bool");
-  }
-  require(field(gates, "learned_steady_allocs", "bench-chip gates").kind ==
-              Value::Kind::kNumber,
-          "bench-chip: gates.learned_steady_allocs is not a number");
-  std::printf("bench-chip OK: %s (%.0f contacts over %.0f tiles)\n", path.c_str(),
-              chip.get("contacts")->number, chip.get("tiles")->number);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -423,9 +297,7 @@ int main(int argc, char** argv) {
       .add_flag("flow-min", "0", "minimum fully-matched request flows for --flow")
       .add_flag("metrics", "", "metrics JSONL file to validate")
       .add_flag("exporter-jsonl", "",
-                "windowed-exporter JSONL file to validate (obs::Exporter)")
-      .add_flag("bench-serve", "", "serve_bench JSON file to validate")
-      .add_flag("bench-chip", "", "chip_bench JSON file to validate");
+                "windowed-exporter JSONL file to validate (obs::Exporter)");
   if (!cli.parse(argc, argv)) {
     std::printf("%s", cli.usage().c_str());
     return 2;
@@ -435,21 +307,16 @@ int main(int argc, char** argv) {
     const std::string flow = cli.get("flow");
     const std::string metrics = cli.get("metrics");
     const std::string exporter_jsonl = cli.get("exporter-jsonl");
-    const std::string bench_serve = cli.get("bench-serve");
-    const std::string bench_chip = cli.get("bench-chip");
-    if (trace.empty() && flow.empty() && metrics.empty() && exporter_jsonl.empty() &&
-        bench_serve.empty() && bench_chip.empty()) {
+    if (trace.empty() && flow.empty() && metrics.empty() && exporter_jsonl.empty()) {
       std::fprintf(stderr,
-                   "obs_validate: nothing to do (pass --trace, --flow, --metrics, "
-                   "--exporter-jsonl, --bench-serve and/or --bench-chip)\n");
+                   "obs_validate: nothing to do (pass --trace, --flow, --metrics "
+                   "and/or --exporter-jsonl)\n");
       return 2;
     }
     if (!trace.empty()) validate_trace(trace);
     if (!flow.empty()) validate_flow(flow, cli.get_int("flow-min"));
     if (!metrics.empty()) validate_metrics(metrics);
     if (!exporter_jsonl.empty()) validate_exporter_jsonl(exporter_jsonl);
-    if (!bench_serve.empty()) validate_bench_serve(bench_serve);
-    if (!bench_chip.empty()) validate_bench_chip(bench_chip);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "obs_validate: FAIL: %s\n", e.what());
     return 1;
