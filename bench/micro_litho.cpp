@@ -71,17 +71,30 @@ static void BM_AerialRigorous(benchmark::State& state) {
 }
 BENCHMARK(BM_AerialRigorous);
 
+// Simulator::run end to end. Arg 128 is a calibrated 128-px clip grid with
+// 8 source points; arg 512 is the chip tile grid, 512 px over 2048 nm with
+// the full N10 source, set up as BM_Develop is: run blurs its 64-px band
+// intensity straight into the latent there.
 static void BM_FullSimulation(benchmark::State& state) {
-  const auto p = process_with(1, 8, 1);
+  auto p = process_with(1, 8, 1);
+  if (state.range(0) == 512) {
+    p = litho::ProcessConfig::n10();
+    p.grid.pixels = 512;
+    p.grid.extent_nm = 2048.0;
+  }
   litho::Simulator sim(p);
-  sim.calibrate_dose();
+  if (state.range(0) == 128) sim.calibrate_dose();
   const auto mask = bench_mask(p);
   for (auto _ : state) {
     auto result = sim.run(mask);
     benchmark::DoNotOptimize(result.contours.data());
   }
 }
-BENCHMARK(BM_FullSimulation);
+BENCHMARK(BM_FullSimulation)
+    ->ArgName("px")
+    ->Arg(128)
+    ->Arg(512)
+    ->Unit(benchmark::kMillisecond);
 
 // The resist stage (latent blur + VTR threshold + develop) on the chip tile
 // grid, 512 px over 2048 nm. Arg 1 develops the aerial as imaged, tagged

@@ -84,15 +84,17 @@ int main(int argc, char** argv) {
     std::printf(", %zu SRAFs", clip.srafs.size());
     opc.run_model_based(clip, builder.simulator());
 
-    const auto result = builder.simulator().run(clip.all_openings());
-    const auto contour = geometry::contour_at(result.contours, clip.center());
-    const auto cd = litho::measure_cd(result.contours, clip.center());
+    litho::Simulator& sim = builder.simulator();
+    const litho::FieldGrid aerial = sim.aerial_image(clip.all_openings());
+    const auto contours = sim.contours(sim.develop(aerial));
+    const auto contour = geometry::contour_at(contours, clip.center());
+    const auto cd = litho::measure_cd(contours, clip.center());
     std::printf(", prints %.1f x %.1f nm\n", cd.width_nm, cd.height_nm);
 
     const std::string base = prefix + "_stage" + std::to_string(k);
     image::write_ppm(base + "_mask.ppm",
                      data::render_mask(clip, build.render));
-    image::write_pgm(base + "_aerial.pgm", field_to_image(result.aerial));
+    image::write_pgm(base + "_aerial.pgm", field_to_image(aerial));
     const auto golden = data::render_golden(contour, clip.center(), build.render);
     image::write_pgm(base + "_golden.pgm", golden.resist);
     std::printf("  wrote %s_{mask.ppm,aerial.pgm,golden.pgm}\n", base.c_str());

@@ -365,8 +365,7 @@ std::size_t ChipPipeline::collect_ring_bytes() const {
   for (const GoldenSlot& s : slots_) {
     bytes += s.idx.capacity() * sizeof(std::uint32_t);
     bytes += s.openings.capacity() * sizeof(geometry::Rect);
-    bytes += (s.result.aerial.values.capacity() + s.result.latent.values.capacity() +
-              s.result.develop.values.capacity()) *
+    bytes += (s.result.latent.values.capacity() + s.result.develop.values.capacity()) *
              sizeof(double);
     for (const geometry::Polygon& c : s.result.contours) {
       bytes += c.vertices().capacity() * sizeof(geometry::Point);

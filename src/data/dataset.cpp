@@ -47,8 +47,11 @@ bool DatasetBuilder::build_sample(layout::MaskClip& clip, Sample& out,
   sraf_.insert(clip);
   opc_.run_model_based(clip, sim);
 
-  const auto result = sim.run(clip.all_openings());
-  const auto contour = geometry::contour_at(result.contours, clip.center());
+  // The sample keeps the aerial, so simulate in stages (Simulator::run
+  // forms no aerial and equals these calls byte for byte).
+  const litho::FieldGrid aerial = sim.aerial_image(clip.all_openings());
+  const auto contours = sim.contours(sim.develop(aerial));
+  const auto contour = geometry::contour_at(contours, clip.center());
   const auto golden = render_golden(contour, clip.center(), config_.render);
   if (!golden.printed) return false;
 
@@ -65,7 +68,7 @@ bool DatasetBuilder::build_sample(layout::MaskClip& clip, Sample& out,
   out.clip_id = clip.id;
   out.array_type = clip.array_type;
   out.mask_rgb = render_mask(clip, config_.render);
-  out.aerial = crop_field(result.aerial, clip.center(), config_.render);
+  out.aerial = crop_field(aerial, clip.center(), config_.render);
   out.resist = golden.resist;
   out.resist_centered = golden.resist_centered;
   out.center_px = golden.center_px;

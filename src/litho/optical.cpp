@@ -295,7 +295,7 @@ OpticalModel::OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
   for (double& w : kernel_weights_) w = w * normalization * (ratio * ratio);
 }
 
-FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
+std::vector<double> OpticalModel::band_intensity(const FieldGrid& mask) const {
   LITHOGAN_REQUIRE(mask.pixels == grid_.pixels, "mask grid resolution mismatch");
   const std::size_t n = grid_.pixels;
   const std::size_t m = imaging_pixels_;
@@ -303,7 +303,7 @@ FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
 
   // The kernels read the mask spectrum only inside the band their windows
   // reach, so only that band is transformed. ws slot 2 holds the line stage
-  // of this transform and, later, of the interpolation.
+  // of this transform.
   util::Workspace ws;
   auto& lines = ws.complexes(2);
   const std::size_t width = 2 * band_ + 1;
@@ -390,18 +390,35 @@ FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
     }
   }
 
+  return image;
+}
+
+FieldGrid OpticalModel::aerial_image(const FieldGrid& mask) const {
+  const std::size_t n = grid_.pixels;
+  const std::size_t m = imaging_pixels_;
+  std::vector<double> image = band_intensity(mask);
   FieldGrid out;
   out.pixels = n;
   out.extent_nm = grid_.extent_nm;
   if (m == n) {
     out.values = std::move(image);
-  } else {
-    const obs::Span span("sim.band_interpolate");
-    out.values.resize(n * n);
-    math::fourier_interpolate(math::fft2d_real_forward(image, m, m, exec_), m, n, lines,
-                              out.values.data(), exec_);
-    out.band_pixels = m;
+    return out;
   }
+  const obs::Span span("sim.band_interpolate");
+  out.values.resize(n * n);
+  std::vector<math::Complex> lines;
+  math::fourier_interpolate(math::fft2d_real_forward(image, m, m, exec_), m, n, lines,
+                            out.values.data(), exec_);
+  // The interpolation meets the band samples only to rounding. Writing
+  // them back exactly (the division by a power of two is exact) lets
+  // diffuse's resample of this aerial read the band samples bit for bit.
+  const std::size_t step = n / m;
+  const double unscale = 1.0 / static_cast<double>(step * step);
+  for (std::size_t y = 0; y < m; ++y) {
+    double* row = out.values.data() + y * step * n;
+    for (std::size_t x = 0; x < m; ++x) row[x * step] = image[y * m + x] * unscale;
+  }
+  out.band_pixels = m;
   return out;
 }
 

@@ -31,10 +31,11 @@ struct FieldGrid {
   std::vector<double> values;
   /// The imaging band the values carry: m when they are the Fourier
   /// interpolation of an m x m grid (so their spectrum lies strictly inside
-  /// |q| < m/2), 0 when they carry no band. OpticalModel::aerial_image sets
-  /// it; pointwise scaling and diffuse keep it; every other producer,
-  /// develop included, leaves it 0. diffuse blurs a tagged field on its
-  /// m x m grid and rejects a tag that is not 0 or a power of two <= pixels.
+  /// |q| < m/2), 0 when they carry no band. OpticalModel::aerial_image and
+  /// diffuse_band set it; pointwise scaling and diffuse keep it; every
+  /// other producer, develop included, leaves it 0. diffuse blurs a tagged
+  /// field on its m x m grid and rejects a tag that is not 0 or a power of
+  /// two <= pixels.
   std::size_t band_pixels = 0;
 
   double pixel_nm() const { return extent_nm / static_cast<double>(pixels); }
@@ -57,10 +58,19 @@ class OpticalModel {
   OpticalModel(const OpticalConfig& optical, const GridConfig& grid,
                util::ExecContext* exec = nullptr);
 
-  /// Aerial image of a rasterized mask. Output grid matches the input and
-  /// carries band_pixels = imaging_pixels() when that is below the grid
-  /// side. Bit-identical at every thread count: kernel intensities are
-  /// computed in parallel but accumulated in kernel order.
+  /// Summed SOCS intensity of a rasterized mask on the m x m imaging grid
+  /// (m = imaging_pixels()), row-major: the aerial image's band samples.
+  /// When m < n they carry (n/m)^2 times the aerial at every (n/m)-th
+  /// pixel, the scaling math::fourier_interpolate expects of its input.
+  /// Bit-identical at every thread count: kernel intensities are computed
+  /// in parallel but accumulated in kernel order.
+  std::vector<double> band_intensity(const FieldGrid& mask) const;
+
+  /// Aerial image of a rasterized mask: band_intensity() Fourier-
+  /// interpolated to the input's grid, carrying band_pixels = m when m is
+  /// below the grid side (the samples themselves when it is not). Every
+  /// (n/m)-th pixel holds its band sample / (n/m)^2 exactly, so a blur that
+  /// resamples the aerial (diffuse) reads the band samples bit for bit.
   FieldGrid aerial_image(const FieldGrid& mask) const;
 
   /// Side of the band-limited grid the coherent kernels are imaged on: the

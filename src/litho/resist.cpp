@@ -61,6 +61,28 @@ std::shared_ptr<const std::vector<double>> blur_table(std::size_t n, double sigm
   return slot;
 }
 
+obs::Counter& band_blur_counter() {
+  static obs::Counter& c = obs::Registry::global().counter("sim.diffuse_band");
+  return c;
+}
+
+/// The band blur: transforms the m x m band samples of a band-limited
+/// n x n field, attenuates them by the m x m table and Fourier-interpolates
+/// the result into `out` (n x n, math::fourier_interpolate). The samples'
+/// spectrum is (m/n)^2 times the field's band bins and the interpolation
+/// divides by n^2, so the samples carry (n/m)^2 times the field, an exact
+/// power of two. The m-grid pixel (n/m) * pixel_nm is exact too, so the
+/// m x m table holds the n x n table's values on the band bins.
+void blur_band_samples(const std::vector<double>& samples, std::size_t m, std::size_t n,
+                       double sigma_nm, double pixel_nm, double* out,
+                       util::ExecContext* exec) {
+  std::vector<math::Complex> spectrum = math::fft2d_real_forward(samples, m, m, exec);
+  const auto table = blur_table(m, sigma_nm, pixel_nm * static_cast<double>(n / m));
+  for (std::size_t i = 0; i < spectrum.size(); ++i) spectrum[i] *= (*table)[i];
+  std::vector<math::Complex> rows;
+  math::fourier_interpolate(spectrum, m, n, rows, out, exec);
+}
+
 /// Spectral Gaussian blur of a real n x n periodic field, in place. `m` is
 /// the side of the band the field carries: a power of two <= n such that
 /// the field is the Fourier interpolation of its m x m samples, or n for a
@@ -68,22 +90,17 @@ std::shared_ptr<const std::vector<double>> blur_table(std::size_t n, double sigm
 ///
 /// For m = n the full n x n spectrum is blurred: a real forward transform,
 /// the multiply and a complex inverse. For m < n the field is sampled at
-/// every (n/m)-th pixel, which is exact for band-limited periodic data; the
-/// m x m samples are transformed, attenuated by the m x m table and
-/// Fourier-interpolated back to n x n (math::fourier_interpolate). A
-/// Gaussian only scales each bin, so the blurred field keeps the band and
-/// the result equals the full-grid blur to rounding, at about (m/n)^2 of
-/// its forward transform work and without the n x n complex spectrum.
+/// every (n/m)-th pixel, which is exact for band-limited periodic data, and
+/// the samples take the band blur. A Gaussian only scales each bin, so the
+/// blurred field keeps the band and the result equals the full-grid blur to
+/// rounding, at about (m/n)^2 of its forward transform work and without the
+/// n x n complex spectrum.
 void gaussian_blur_2d(std::vector<double>& values, std::size_t n, std::size_t m,
                       double sigma_nm, double pixel_nm, util::ExecContext* exec) {
   LITHOGAN_REQUIRE(values.size() == n * n, "gaussian_blur_2d: size mismatch");
   LITHOGAN_REQUIRE(math::is_power_of_two(m) && m <= n,
                    "gaussian_blur_2d: band side must be a power of two <= n");
   if (m < n) {
-    // The m x m samples' spectrum is (m/n)^2 times the field's band bins;
-    // the interpolation divides by n^2, so the samples carry (n/m)^2, an
-    // exact power of two. The m-grid pixel (n/m) * pixel_nm is exact too,
-    // so the m x m table holds the n x n table's values on the band bins.
     const std::size_t step = n / m;
     const auto scale = static_cast<double>(step * step);
     std::vector<double> samples(m * m);
@@ -91,11 +108,7 @@ void gaussian_blur_2d(std::vector<double>& values, std::size_t n, std::size_t m,
       const double* row = values.data() + y * step * n;
       for (std::size_t x = 0; x < m; ++x) samples[y * m + x] = row[x * step] * scale;
     }
-    std::vector<math::Complex> spectrum = math::fft2d_real_forward(samples, m, m, exec);
-    const auto table = blur_table(m, sigma_nm, pixel_nm * static_cast<double>(step));
-    for (std::size_t i = 0; i < spectrum.size(); ++i) spectrum[i] *= (*table)[i];
-    std::vector<math::Complex> rows;
-    math::fourier_interpolate(spectrum, m, n, rows, values.data(), exec);
+    blur_band_samples(samples, m, n, sigma_nm, pixel_nm, values.data(), exec);
     return;
   }
   const auto table = blur_table(n, sigma_nm, pixel_nm);
@@ -127,12 +140,28 @@ FieldGrid diffuse(const FieldGrid& field, double sigma_nm, util::ExecContext* ex
   if (sigma_nm == 0.0) return field;
   const obs::Span span("sim.diffuse");
   // Spectral Gaussian blur, on the band grid when the field carries one.
-  static obs::Counter& band_blurs = obs::Registry::global().counter("sim.diffuse_band");
   static obs::Counter& full_blurs = obs::Registry::global().counter("sim.diffuse_full");
   const std::size_t m = band == 0 ? field.pixels : band;
-  (m < field.pixels ? band_blurs : full_blurs).add();
+  (m < field.pixels ? band_blur_counter() : full_blurs).add();
   FieldGrid out = field;
   gaussian_blur_2d(out.values, field.pixels, m, sigma_nm, field.pixel_nm(), exec);
+  return out;
+}
+
+FieldGrid diffuse_band(const std::vector<double>& samples, std::size_t m,
+                       const GridConfig& grid, double sigma_nm, util::ExecContext* exec) {
+  const std::size_t n = grid.pixels;
+  LITHOGAN_REQUIRE(sigma_nm > 0.0, "band diffusion needs a positive sigma");
+  LITHOGAN_REQUIRE(math::is_power_of_two(m) && m < n && samples.size() == m * m,
+                   "band samples must be m x m with m a power of two below the grid");
+  const obs::Span span("sim.diffuse");
+  band_blur_counter().add();
+  FieldGrid out;
+  out.pixels = n;
+  out.extent_nm = grid.extent_nm;
+  out.values.resize(n * n);
+  out.band_pixels = m;
+  blur_band_samples(samples, m, n, sigma_nm, out.pixel_nm(), out.values.data(), exec);
   return out;
 }
 

@@ -27,6 +27,18 @@ namespace lithogan::litho {
 FieldGrid diffuse(const FieldGrid& field, double sigma_nm,
                   util::ExecContext* exec = nullptr);
 
+/// The band blur of diffuse, from the m x m band samples of a field on
+/// `grid` (OpticalModel::band_intensity: (n/m)^2 times the field at every
+/// (n/m)-th pixel) straight into the blurred n x n field, which carries the
+/// band m. Equals diffuse() bit for bit on a band-tagged field whose sample
+/// pixels hold samples / (n/m)^2, as OpticalModel::aerial_image writes
+/// them, and never needs that field. Throws util::InvalidArgument unless
+/// sigma_nm > 0, m is a power of two below grid.pixels and samples holds
+/// m x m values.
+FieldGrid diffuse_band(const std::vector<double>& samples, std::size_t m,
+                       const GridConfig& grid, double sigma_nm,
+                       util::ExecContext* exec = nullptr);
+
 class ResistModel {
  public:
   virtual ~ResistModel() = default;

@@ -59,13 +59,31 @@ std::vector<geometry::Polygon> Simulator::contours(const FieldGrid& develop_grid
 }
 
 SimulationResult Simulator::run(const std::vector<geometry::Rect>& mask_openings) {
-  SimulationResult result;
-  result.aerial = aerial_image(mask_openings);
+  // Band-first: the band blur reads only the aerial's m x m band samples, so
+  // with a band and a blur the band intensity goes straight into the n x n
+  // latent and no n x n aerial is formed. diffuse_band equals the staged
+  // aerial_image -> develop bit for bit (see OpticalModel::aerial_image).
+  const std::size_t m = optical_.imaging_pixels();
+  const double sigma = process_.resist.diffusion_length_nm;
+  const bool band_first = m < process_.grid.pixels && sigma > 0.0;
+  std::vector<double> samples;
+  FieldGrid aerial;
+  if (band_first) {
+    const obs::Span span("sim.aerial");
+    util::Timer timer;
+    samples = optical_.band_intensity(rasterize_mask(mask_openings, process_.grid));
+    timings_.add("optical", timer.elapsed_seconds());
+  } else {
+    aerial = aerial_image(mask_openings);
+  }
 
+  SimulationResult result;
   util::Timer resist_timer;
   {
     const obs::Span span("sim.resist");
-    result.latent = resist_->latent_image(result.aerial);
+    result.latent = band_first
+                        ? diffuse_band(samples, m, process_.grid, sigma, process_.exec)
+                        : resist_->latent_image(aerial);
     result.develop = resist_->develop_latent(result.latent);
   }
   timings_.add("resist", resist_timer.elapsed_seconds());
@@ -118,7 +136,9 @@ double Simulator::calibrate_dose(double tolerance_nm) {
   const std::vector<geometry::Rect> isolated = {geometry::Rect::from_center(
       {center, center}, process_.contact_size_nm, process_.contact_size_nm)};
 
-  const FieldGrid aerial = aerial_image(isolated);
+  // The blur does not depend on the threshold: form the latent once and
+  // develop it at each bisection step.
+  const FieldGrid latent = resist_->latent_image(aerial_image(isolated));
   const double target = process_.contact_size_nm;
 
   // Printed CD grows monotonically as the threshold drops (more of the
@@ -133,8 +153,7 @@ double Simulator::calibrate_dose(double tolerance_nm) {
     const double mid = (lo + hi) / 2.0;
     process_.resist.threshold = mid;
     rebuild_resist();
-    const FieldGrid dev = develop(aerial);
-    const auto cs = contours(dev);
+    const auto cs = contours(resist_->develop_latent(latent));
     const auto cd = measure_cd(cs, {center, center});
     const double printed = (cd.width_nm + cd.height_nm) / 2.0;
     if (printed > 0.0 && std::abs(printed - target) < best_error) {

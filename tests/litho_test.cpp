@@ -483,9 +483,11 @@ TEST(Resist, BandTagIsValidated) {
 // ---------------------------------------------------------------------------
 
 // The golden replay contract on the chip tile grid (N10, 512 px over
-// 2048 nm): Simulator::run equals aerial_image -> develop -> contours byte
-// for byte. Both reach the band blur, a dose-scaled aerial (as the
-// process-window sweep makes) does too, and develop carries no band.
+// 2048 nm): Simulator::run, which blurs the band intensity straight into
+// the latent, equals aerial_image -> develop -> contours byte for byte.
+// Both reach the band blur, a dose-scaled aerial (as the process-window
+// sweep makes) does too and develops like the band blur of the scaled
+// samples, and develop carries no band.
 TEST(SimulatorStages, RunEqualsStagedReplayOnTheBandPath) {
   ll::ProcessConfig p = ll::ProcessConfig::n10();
   p.grid.pixels = 512;
@@ -511,12 +513,9 @@ TEST(SimulatorStages, RunEqualsStagedReplayOnTheBandPath) {
 
   ASSERT_EQ(aerial.band_pixels, sim.optical().imaging_pixels());
   ASSERT_LT(aerial.band_pixels, p.grid.pixels);
-  EXPECT_EQ(result.aerial.band_pixels, aerial.band_pixels);
   EXPECT_EQ(result.latent.band_pixels, aerial.band_pixels);
   EXPECT_EQ(result.develop.band_pixels, 0u);
   EXPECT_EQ(develop.band_pixels, 0u);
-  ASSERT_EQ(0, std::memcmp(result.aerial.values.data(), aerial.values.data(),
-                           aerial.values.size() * sizeof(double)));
   ASSERT_EQ(result.develop.values.size(), develop.values.size());
   ASSERT_EQ(0, std::memcmp(result.develop.values.data(), develop.values.data(),
                            develop.values.size() * sizeof(double)));
@@ -539,6 +538,52 @@ TEST(SimulatorStages, RunEqualsStagedReplayOnTheBandPath) {
 
   EXPECT_EQ(band.value() - band0, 4u);
   EXPECT_EQ(full.value() - full0, 0u);
+
+  // run's latent is the resist blur of the staged aerial, bit for bit.
+  const double sigma = p.resist.diffusion_length_nm;
+  const ll::FieldGrid latent = ll::diffuse(aerial, sigma);
+  ASSERT_EQ(result.latent.values.size(), latent.values.size());
+  ASSERT_EQ(0, std::memcmp(result.latent.values.data(), latent.values.data(),
+                           latent.values.size() * sizeof(double)));
+
+  // Scaling the aerial scales its exact band samples by the same rounding,
+  // so the dosed aerial develops like the band blur of the dosed samples.
+  const std::size_t m = aerial.band_pixels;
+  std::vector<double> samples =
+      sim.optical().band_intensity(ll::rasterize_mask(openings, p.grid));
+  for (double& v : samples) v *= 1.05;
+  const ll::VariableThresholdResist resist(p.resist);
+  const ll::FieldGrid dosed_develop = sim.develop(dosed);
+  const ll::FieldGrid band_develop = resist.develop_latent(
+      ll::diffuse_band(samples, m, p.grid, sigma));
+  ASSERT_EQ(dosed_develop.values.size(), band_develop.values.size());
+  ASSERT_EQ(0, std::memcmp(dosed_develop.values.data(), band_develop.values.data(),
+                           band_develop.values.size() * sizeof(double)));
+}
+
+// Off the band path run keeps the staged route: on a grid whose imaging
+// grid is the simulation grid (m = n), and on a band grid with no blur.
+TEST(SimulatorStages, RunEqualsStagedReplayOffTheBandPath) {
+  ll::ProcessConfig no_band = ll::ProcessConfig::n10();
+  no_band.grid.pixels = 32;
+  ll::ProcessConfig no_blur = ll::ProcessConfig::n10();
+  no_blur.grid.pixels = 64;
+  no_blur.resist.diffusion_length_nm = 0.0;
+  for (const ll::ProcessConfig& p : {no_band, no_blur}) {
+    ll::Simulator sim(p);
+    const double c = p.grid.extent_nm / 2.0;
+    const std::vector<lg::Rect> openings = {lg::Rect::from_center({c, c}, 60.0, 60.0),
+                                            lg::Rect::from_center({c + 136.0, c}, 60.0,
+                                                                  60.0)};
+    const ll::SimulationResult result = sim.run(openings);
+    const ll::FieldGrid develop = sim.develop(sim.aerial_image(openings));
+    ASSERT_EQ(result.develop.values.size(), develop.values.size());
+    EXPECT_EQ(0, std::memcmp(result.develop.values.data(), develop.values.data(),
+                             develop.values.size() * sizeof(double)))
+        << "pixels=" << p.grid.pixels;
+    EXPECT_EQ(result.contours.size(), sim.contours(develop).size());
+  }
+  EXPECT_EQ(ll::Simulator(no_band).optical().imaging_pixels(), no_band.grid.pixels);
 }
 
 class SimulatorTest : public ::testing::Test {

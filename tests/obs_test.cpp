@@ -421,8 +421,8 @@ TEST(ObsTrace, TracedRunBatchIsByteIdentical) {
     const auto& a = baseline[i];
     const auto& b = observed[i];
     ASSERT_EQ(a.develop.values.size(), b.develop.values.size());
-    EXPECT_EQ(std::memcmp(a.aerial.values.data(), b.aerial.values.data(),
-                          a.aerial.values.size() * sizeof(double)),
+    EXPECT_EQ(std::memcmp(a.latent.values.data(), b.latent.values.data(),
+                          a.latent.values.size() * sizeof(double)),
               0);
     EXPECT_EQ(std::memcmp(a.develop.values.data(), b.develop.values.data(),
                           a.develop.values.size() * sizeof(double)),

@@ -2,7 +2,8 @@
 // real-to-complex forward FFT (math::fft2d_real_forward), the
 // pupil-support-pruned SOCS transfer on the band-limited imaging grid in
 // litho::OpticalModel, and the resist blur of a band-tagged aerial on that
-// grid (litho::diffuse). All must agree with the dense full-grid
+// grid (litho::diffuse, and litho::diffuse_band from the band samples
+// alone). All must agree with the dense full-grid
 // computation to <= 1e-12 relative error — the fast paths exploit exact
 // structure (Hermitian spectra, zeros outside the pupil, an intensity
 // spectrum inside the imaging grid's band), so any larger deviation is a
@@ -213,6 +214,19 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
         << "pixel " << i;
   }
 
+  // Every (n/m)-th pixel holds its band sample / (n/m)^2 exactly (with no
+  // band, the samples are the aerial).
+  const std::vector<double> samples = model.band_intensity(mask);
+  ASSERT_EQ(samples.size(), m * m);
+  const std::size_t step = grid.pixels / m;
+  const auto unscale = static_cast<double>(step * step);
+  for (std::size_t y = 0; y < m; ++y) {
+    for (std::size_t x = 0; x < m; ++x) {
+      ASSERT_EQ(pruned.at(x * step, y * step), samples[y * m + x] / unscale)
+          << "sample (" << x << ", " << y << ")";
+    }
+  }
+
   // The resist blur of the tagged aerial runs on its band grid and must
   // match the full-grid blur of the same values with the tag cleared.
   constexpr double kSigmaNm = 15.0;
@@ -228,6 +242,14 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
   for (std::size_t i = 0; i < full_blur.values.size(); ++i) {
     ASSERT_LE(std::abs(band_blur.values[i] - full_blur.values[i]), 1e-12 * blur_peak)
         << "blurred pixel " << i;
+  }
+  // The blur of the band samples, which never forms the aerial, is the
+  // band blur of the aerial bit for bit.
+  if (m < grid.pixels) {
+    const litho::FieldGrid sample_blur = litho::diffuse_band(samples, m, grid, kSigmaNm);
+    EXPECT_EQ(sample_blur.band_pixels, m);
+    ASSERT_EQ(0, std::memcmp(band_blur.values.data(), sample_blur.values.data(),
+                             band_blur.values.size() * sizeof(double)));
   }
 
   // The pruned aerial and its blur must also be bit-identical across thread
@@ -245,6 +267,13 @@ TEST_P(PrunedAerialTest, MatchesDenseComplexPath) {
     ASSERT_EQ(0, std::memcmp(band_blur.values.data(), parallel_blur.values.data(),
                              band_blur.values.size() * sizeof(double)))
         << "blur threads=" << threads;
+    if (m < grid.pixels) {
+      const litho::FieldGrid sample_blur = litho::diffuse_band(
+          parallel_model.band_intensity(mask), m, grid, kSigmaNm, &exec);
+      ASSERT_EQ(0, std::memcmp(band_blur.values.data(), sample_blur.values.data(),
+                               band_blur.values.size() * sizeof(double)))
+          << "sample blur threads=" << threads;
+    }
   }
 }
 
